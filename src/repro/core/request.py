@@ -42,6 +42,16 @@ BACKPRESSURE_CONTEXT = "pardis.backpressure"
 LOAD_CONTEXT = "pardis.load"
 #: request priority (higher is served first under the "priority" policy)
 PRIORITY_CONTEXT = "pardis.priority"
+#: distributed-tracing context (``repro.tools.tracing``).  It is
+#: instrumentation, not protocol: it travels on the headers but is not
+#: charged to their simulated size, so attaching tracing never moves
+#: virtual time.  Every other context is charged.
+TRACE_CONTEXT = "pardis.trace"
+
+
+def _charged_contexts(contexts: dict) -> int:
+    """How many of a header's service contexts count toward its size."""
+    return len(contexts) - (TRACE_CONTEXT in contexts)
 
 
 def describe(dist: Distribution) -> tuple:
@@ -95,7 +105,7 @@ class RequestHeader:
     def nbytes(self) -> int:
         return 96 + len(self.scalar_args) + 24 * (
             len(self.dseq_args) + len(self.out_dists) + len(self.reply_to)
-            + len(self.service_contexts)
+            + _charged_contexts(self.service_contexts)
         )
 
 
@@ -146,4 +156,4 @@ class ReplyHeader:
         elif isinstance(self.exception, str):
             extra = len(self.exception)
         return (64 + len(self.scalar_results) + 24 * len(self.dseq_outs)
-                + 24 * len(self.service_contexts) + extra)
+                + 24 * _charged_contexts(self.service_contexts) + extra)

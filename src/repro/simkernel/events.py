@@ -39,7 +39,7 @@ class EventQueue:
         return sum(1 for e in self._heap if not e.cancelled)
 
     def __bool__(self) -> bool:
-        return any(not e.cancelled for e in self._heap)
+        return self.peek_time() is not None
 
     def push(self, time: float, thread) -> Event:
         ev = Event(time, next(self._seq), thread)

@@ -11,6 +11,17 @@ earliest ``(wake time, insertion seq)`` runs until it yields by advancing
 time, blocking, or finishing.  Because exactly one thread runs at a time
 and ties break deterministically, a simulation is reproducible bit-for-bit
 — the property every test and benchmark in this repository leans on.
+
+There is no scheduler thread.  The thread that yields or finishes pops
+the next event itself and resumes that event's thread directly (a
+*handoff*); when the next event is its own, it simply keeps running.
+An ``advance`` whose wake time is strictly earlier than every queued
+event (and within ``run(until=...)``) does not touch the queue at all:
+the thread's clock moves and it carries on, exactly where the event loop
+would have resumed it.  The caller of :meth:`SimKernel.run` starts the
+first thread and then only waits, to be woken when the run stops: on a
+failure, when no non-daemon thread is left, when the queue drains (the
+deadlock check), or when the next event lies past ``until``.
 """
 
 from __future__ import annotations
@@ -32,6 +43,9 @@ class ThreadState(enum.Enum):
     BLOCKED = "blocked"    # waiting to be woken by another thread
     DONE = "done"
     FAILED = "failed"
+
+
+_FINISHED = (ThreadState.DONE, ThreadState.FAILED)
 
 
 class SimThread:
@@ -83,32 +97,61 @@ class SimThread:
             self.exc = exc
             self.state = ThreadState.FAILED
         finally:
-            self.kernel._yield_sem.release()
+            # A thread killed at teardown hands nothing on: the run is over.
+            if not self._kill:
+                self.kernel._finish(self)
 
     def _wait_for_go(self) -> None:
         self._go.acquire()
         if self._kill:
             raise SimKilled()
-        self.state = ThreadState.RUNNING
+        self._resume()
 
-    def _yield_to_kernel(self) -> None:
-        """Hand control back to the scheduler and wait to be resumed."""
-        self.kernel._yield_sem.release()
-        self._wait_for_go()
+    def _resume(self) -> None:
+        # Runs on this thread, so a raising trace hook fails this thread
+        # (reported by run()) instead of the handoff that resumed it.
+        self.state = ThreadState.RUNNING
+        trace = self.kernel.trace
+        if trace is not None:
+            trace(f"[{self.now:.6f}] resume {self.name}")
+
+    def _yield(self) -> None:
+        """Hand control to the next event's thread and wait to be resumed."""
+        if self._kill:
+            raise SimKilled()
+        if self.kernel._handoff(self) is not self:
+            self._wait_for_go()
+        else:
+            self._resume()
 
     def __repr__(self) -> str:
         return f"<SimThread {self.name} t={self.now:.6f} {self.state.value}>"
 
 
 class SimKernel:
-    """Discrete-event scheduler for :class:`SimThread` objects."""
+    """Discrete-event scheduler for :class:`SimThread` objects.
+
+    Two counters describe a run's scheduling work:
+
+    * ``events_processed`` counts every wake-up: each event popped from the
+      queue and each ``advance`` that took the same-thread fast path.  It
+      is a property of the simulated schedule, not of how the kernel
+      executes it.
+    * ``context_switches`` counts only handoffs to a *different* thread,
+      i.e. the OS thread switches the schedule actually needed.  It is
+      always at most ``events_processed``.
+    """
 
     def __init__(self, trace: Callable[[str], None] | None = None) -> None:
         self._events = EventQueue()
         self._threads: list[SimThread] = []
-        self._yield_sem = threading.Semaphore(0)
+        self._yield_sem = threading.Semaphore(0)   # wakes run()'s caller
         self._running = False
         self._finished = False
+        self._until: float | None = None
+        self._last_time = 0.0
+        self._live = 0                    # non-daemon threads not finished
+        self._failed: SimThread | None = None
         self.trace = trace
         self.context_switches = 0
         self.events_processed = 0
@@ -154,6 +197,8 @@ class SimKernel:
         name = name or f"thread-{len(self._threads)}"
         th = SimThread(self, fn, args, kwargs, name, t0, daemon)
         self._threads.append(th)
+        if not daemon:
+            self._live += 1
         th._os_thread.start()
         self.schedule(th, t0)
         return th
@@ -166,7 +211,7 @@ class SimKernel:
         If the thread already has a pending wake-up, the earlier one wins
         (the later is cancelled).
         """
-        if thread.state in (ThreadState.DONE, ThreadState.FAILED):
+        if thread.state in _FINISHED:
             return
         ev = thread._wake_event
         if ev is not None and not ev.cancelled:
@@ -184,9 +229,23 @@ class SimKernel:
         th = self.current()
         if dt == 0.0:
             return
-        self.schedule(th, th.now + dt)
+        t = th.now + dt
+        if th._wake_event is None:
+            # Fast path: the wake-up would be the next one popped, so this
+            # thread keeps running without queueing it.  Strictly earlier
+            # than the head: a queued event at the same time has a lower
+            # seq and must run first.
+            head = self._events.peek_time()
+            until = self._until
+            if (head is None or t < head) and (until is None or t <= until):
+                th.now = t
+                self._last_time = max(self._last_time, t)
+                self.events_processed += 1
+                th._resume()
+                return
+        self.schedule(th, t)
         th.state = ThreadState.READY
-        th._yield_to_kernel()
+        th._yield()
 
     def sleep_until(self, time: float) -> None:
         """Block the calling thread until virtual ``time`` (no-op if past)."""
@@ -203,7 +262,7 @@ class SimKernel:
         th = self.current()
         th.state = ThreadState.BLOCKED
         th.wait_reason = reason
-        th._yield_to_kernel()
+        th._yield()
         th.wait_reason = None
 
     def wake(self, thread: SimThread, time: float | None = None) -> None:
@@ -217,6 +276,54 @@ class SimKernel:
         t = time if time is not None else (waker.now if waker else thread.now)
         self.schedule(thread, max(t, 0.0))
 
+    # -- dispatch --------------------------------------------------------------
+
+    def _next(self, me: SimThread | None) -> SimThread | None:
+        """Pop the next wake-up and return its thread, ready to resume.
+
+        Runs on whichever thread of control holds the schedule: the
+        yielding or finishing thread ``me``, or :meth:`run`'s caller when a
+        run starts (``me`` is None).  Returns None when the run must stop.
+        """
+        events = self._events
+        until = self._until
+        while self._failed is None and self._live:
+            t = events.peek_time()
+            if t is None:
+                return None
+            if until is not None and t > until:
+                self._last_time = until
+                return None
+            ev = events.pop()
+            th = ev.thread
+            if th.state in _FINISHED:
+                continue
+            th._wake_event = None
+            self._last_time = max(self._last_time, t)
+            th.now = max(th.now, t)
+            self.events_processed += 1
+            if th is not me:
+                self.context_switches += 1
+            return th
+        return None
+
+    def _handoff(self, me: SimThread) -> SimThread | None:
+        """Resume the thread after ``me`` directly, or wake :meth:`run`'s
+        caller when the run stops; returns the resumed thread."""
+        nxt = self._next(me)
+        if nxt is None:
+            self._yield_sem.release()
+        elif nxt is not me:
+            nxt._go.release()
+        return nxt
+
+    def _finish(self, th: SimThread) -> None:
+        if not th.daemon:
+            self._live -= 1
+        if th.state == ThreadState.FAILED and self._failed is None:
+            self._failed = th
+        self._handoff(th)
+
     # -- main loop -------------------------------------------------------------
 
     def run(self, until: float | None = None) -> float:
@@ -226,64 +333,43 @@ class SimKernel:
         :class:`DeadlockError` if non-daemon threads remain blocked with no
         pending events.  Daemon threads (e.g. server request loops) are
         killed cleanly once all non-daemon threads have finished.
+
+        The calling thread starts the first simulated thread and then
+        waits; the simulated threads hand control to one another until the
+        run stops.
         """
         if self._running:
             raise SimError("kernel.run() is not reentrant")
         self._running = True
-        last_time = 0.0
+        self._until = until
+        self._last_time = 0.0
         try:
-            while True:
-                self._check_failures()
-                if all(
-                    t.state in (ThreadState.DONE, ThreadState.FAILED)
-                    for t in self._threads if not t.daemon
-                ):
-                    break
-                if not self._events:
-                    blocked = [
-                        t for t in self._threads
-                        if not t.daemon and t.state not in (ThreadState.DONE, ThreadState.FAILED)
-                    ]
-                    if blocked:
-                        raise DeadlockError(blocked)
-                    break
-                nxt = self._events.peek_time()
-                if until is not None and nxt is not None and nxt > until:
-                    last_time = until
-                    break
-                ev = self._events.pop()
-                th = ev.thread
-                if th.state in (ThreadState.DONE, ThreadState.FAILED):
-                    continue
-                th._wake_event = None
-                last_time = max(last_time, ev.time)
-                th.now = max(th.now, ev.time)
-                self.events_processed += 1
-                self.context_switches += 1
-                if self.trace is not None:
-                    self.trace(f"[{th.now:.6f}] resume {th.name}")
-                th._go.release()
+            first = self._next(None)
+            if first is not None:
+                first._go.release()
                 self._yield_sem.acquire()
-            self._check_failures()
-            return last_time
+            failed = self._failed
+            if failed is not None:
+                self._failed = None
+                failed.state = ThreadState.DONE
+                self._teardown()
+                raise SimThreadFailed(failed.name, failed.exc) from failed.exc
+            if self._live and not self._events:
+                raise DeadlockError([
+                    t for t in self._threads
+                    if not t.daemon and t.state not in _FINISHED
+                ])
+            return self._last_time
         finally:
             self._running = False
             if until is None:
                 self._teardown()
 
-    def _check_failures(self) -> None:
-        for t in self._threads:
-            if t.state == ThreadState.FAILED:
-                exc = t.exc
-                t.state = ThreadState.DONE
-                self._teardown()
-                raise SimThreadFailed(t.name, exc) from exc
-
     def _teardown(self) -> None:
         """Kill every still-live simulated thread and join its OS thread."""
         self._finished = True
         for t in self._threads:
-            if t.state not in (ThreadState.DONE, ThreadState.FAILED):
+            if t.state not in _FINISHED:
                 t._kill = True
                 t._go.release()
         for t in self._threads:

@@ -17,7 +17,10 @@ Wire format, under the :data:`TRACE_CONTEXT` key (``"pardis.trace"``)::
      "sampled":  bool}             # head-based sampling verdict
 
 Replies echo the *server's* context back under the same key, so clients
-can attribute per-hop latency without a collector.
+can attribute per-hop latency without a collector.  The context is not
+charged to the headers' simulated size (see
+:data:`repro.core.request.TRACE_CONTEXT`), so tracing never moves
+virtual time.
 
 Identifiers are derived deterministically from the request id (BLAKE2b,
 no randomness), which buys two properties the simulator needs:
@@ -50,6 +53,7 @@ from ..core.pipeline.interceptors import (
     RequestInterceptor,
     ServerRequestInfo,
 )
+from ..core.request import TRACE_CONTEXT
 from ..simkernel import SimKernel
 
 __all__ = [
@@ -60,9 +64,6 @@ __all__ = [
     "attach_tracing",
     "detach_tracing",
 ]
-
-#: service-context key carrying the trace context (see module docstring)
-TRACE_CONTEXT = "pardis.trace"
 
 #: SimThread-local key holding the stack of open trace scopes
 _STACK_KEY = "pardis.trace_stack"

@@ -1,5 +1,10 @@
 """Tests for the virtual-time kernel scheduler."""
 
+import random
+import sys
+import threading
+import time
+
 import pytest
 
 from repro.simkernel import (
@@ -282,3 +287,319 @@ def test_now_outside_sim_is_zero():
 def test_current_outside_sim_raises():
     with pytest.raises(Exception):
         SimKernel.current()
+
+
+# -- direct handoff and the same-thread fast path ---------------------------
+
+
+def _sim_os_threads(k):
+    return [t._os_thread for t in k.threads if t._os_thread.is_alive()]
+
+
+def test_equal_time_tie_resumes_fifo_not_fast_path():
+    k = SimKernel()
+    order = []
+
+    def early():
+        order.append(("early", k.now()))
+
+    def racer():
+        # Lands exactly on early's wake-up, which has the lower seq: it
+        # must run first, so this advance cannot keep the CPU.
+        k.advance(1.0)
+        order.append(("racer", k.now()))
+
+    k.spawn(early, name="early", start_time=1.0)
+    k.spawn(racer, name="racer")
+    assert k.run() == 1.0
+    assert order == [("early", 1.0), ("racer", 1.0)]
+    assert k.events_processed == 3
+    assert k.context_switches == 3
+
+
+def test_equal_time_ties_between_advancing_threads_stay_fifo():
+    k = SimKernel()
+    order = []
+
+    def body(name):
+        for _ in range(3):
+            k.advance(1.0)
+            order.append((name, k.now()))
+
+    for name in "abc":
+        k.spawn(body, name)
+    k.run()
+    assert order == [(n, float(t)) for t in (1, 2, 3) for n in "abc"]
+
+
+def test_fast_path_times_fold_into_run_result():
+    k = SimKernel()
+
+    def body():
+        for dt in (2.5, 0.5, 0.25):
+            k.advance(dt)
+
+    k.spawn(body)
+    assert k.run() == 3.25
+    # one start-up handoff; the three advances never left the thread
+    assert k.events_processed == 4
+    assert k.context_switches == 1
+
+
+def test_fast_path_stops_at_until_and_resumes():
+    k = SimKernel()
+    log = []
+
+    def body():
+        for _ in range(10):
+            k.advance(1.0)
+            log.append(k.now())
+
+    k.spawn(body)
+    assert k.run(until=3.5) == 3.5
+    assert log == [1.0, 2.0, 3.0]
+    assert k.run(until=3.5) == 3.5      # nothing due yet: stays put
+    assert log == [1.0, 2.0, 3.0]
+    assert k.run(until=6.0) == 6.0      # a wake-up exactly at until runs
+    assert log == [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
+    assert k.run() == 10.0
+    assert log[-1] == 10.0
+    assert not _sim_os_threads(k)
+
+
+def test_failure_mid_handoff_surfaces_and_leaves_no_threads():
+    k = SimKernel()
+
+    def worker(name, fail_at):
+        for i in range(10):
+            k.advance(0.1)
+            if i == fail_at:
+                raise KeyError(name)
+
+    k.spawn(worker, "ok", None, name="ok")
+    k.spawn(worker, "bad", 4, name="bad")
+    k.spawn(lambda: k.block("never woken"), name="waiter")
+    k.spawn(lambda: k.block("serving"), name="daemon", daemon=True)
+    with pytest.raises(SimThreadFailed, match="bad") as ei:
+        k.run()
+    assert isinstance(ei.value.original, KeyError)
+    assert not _sim_os_threads(k)
+    assert not [t for t in threading.enumerate()
+                if t.name in ("sim:ok", "sim:bad", "sim:waiter", "sim:daemon")]
+
+
+def test_deadlock_lists_every_blocked_thread():
+    k = SimKernel()
+    k.spawn(lambda: k.advance(1.0), name="finisher")
+    k.spawn(lambda: k.block("reply A"), name="stuck-a")
+    k.spawn(lambda: (k.advance(2.0), k.block("reply B")), name="stuck-b")
+    k.spawn(lambda: k.block("serving"), name="server", daemon=True)
+    with pytest.raises(DeadlockError) as ei:
+        k.run()
+    assert [t.name for t in ei.value.blocked] == ["stuck-a", "stuck-b"]
+    assert "reply A" in str(ei.value) and "reply B" in str(ei.value)
+    assert not _sim_os_threads(k)
+
+
+def test_daemons_killed_when_last_non_daemon_finishes():
+    k = SimKernel()
+    ticks = []
+    unwound = []
+
+    def poller():
+        try:
+            while True:
+                k.advance(1.0)
+                ticks.append(k.now())
+        finally:
+            unwound.append(True)
+
+    d = k.spawn(poller, name="poller", daemon=True)
+    k.spawn(lambda: k.advance(3.5), name="client")
+    assert k.run() == 3.5
+    assert ticks == [1.0, 2.0, 3.0]
+    assert unwound == [True]
+    assert d.state == ThreadState.DONE
+    assert not _sim_os_threads(k)
+
+
+def test_only_daemons_returns_immediately():
+    k = SimKernel()
+    d = k.spawn(lambda: k.advance(1.0), name="daemon", daemon=True)
+    assert k.run() == 0.0
+    assert d.state == ThreadState.DONE
+    assert k.events_processed == 0
+
+
+def test_thread_spawned_inside_a_thread_counts_as_live():
+    k = SimKernel()
+    log = []
+
+    def child():
+        k.advance(5.0)
+        log.append(k.now())
+
+    def parent():
+        k.advance(1.0)
+        k.spawn(child, name="child")
+        # the parent finishes first; the run must wait for its child
+
+    k.spawn(parent, name="parent")
+    assert k.run() == 6.0
+    assert log == [6.0]
+
+
+def test_blocked_child_spawned_inside_a_thread_is_a_deadlock():
+    k = SimKernel()
+    k.spawn(lambda: k.spawn(lambda: k.block("orphan"), name="child"),
+            name="parent")
+    with pytest.raises(DeadlockError, match="child"):
+        k.run()
+
+
+def test_run_from_simulated_thread_raises_and_cleans_up():
+    k = SimKernel()
+
+    def body():
+        k.advance(1.0)
+        k.run()
+
+    k.spawn(body, name="nested")
+    with pytest.raises(SimThreadFailed, match="nested") as ei:
+        k.run()
+    assert isinstance(ei.value.original, SimError)
+    assert "not reentrant" in str(ei.value.original)
+    assert not _sim_os_threads(k)
+
+
+def test_one_thread_at_a_time_under_preemption():
+    """More OS threads than cores and a tiny switch interval: handoffs
+    must still let exactly one simulated thread run at a time, or the
+    unlocked read-modify-write below loses updates."""
+
+    def build():
+        k = SimKernel()
+        shared = [0]
+        log = []
+
+        def body(i):
+            rng = random.Random(i)
+            for _ in range(30):
+                seen = shared[0]
+                time.sleep(0)           # invite any concurrent thread in
+                shared[0] = seen + 1
+                log.append(k.now())
+                if rng.random() < 0.2:
+                    k.block("nap")      # woken by the next thread's step
+                else:
+                    k.advance(rng.choice((0.001, 0.002, 0.003)))
+                k.wake(threads[(i + 1) % len(threads)])
+
+        def sweeper():
+            for _ in range(20):
+                k.advance(0.01)
+                for t in threads:
+                    k.wake(t)
+
+        threads = [k.spawn(body, i, name=f"p{i}") for i in range(32)]
+        k.spawn(sweeper, name="sweeper")
+        k.run()
+        return shared[0], log, k.events_processed
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        first, second = build(), build()
+    finally:
+        sys.setswitchinterval(old)
+    count, log, _ = first
+    assert count == 32 * 30
+    assert log == sorted(log)
+    assert first == second
+
+
+def _counter_scenario():
+    """A fixed mix of interleaved advances, block/wake, a mid-run spawn,
+    equal-time ties and a thread that runs on alone at the end."""
+    k = SimKernel()
+
+    def stepper(dts):
+        for dt in dts:
+            k.advance(dt)
+
+    def sleeper():
+        for _ in range(3):
+            k.block("for waker")
+            k.advance(0.05)
+
+    def waker(target):
+        for _ in range(3):
+            k.advance(0.3)
+            k.wake(target, k.now() + 0.1)
+
+    def spawner():
+        k.advance(0.5)
+        k.spawn(stepper, [0.1] * 5, name="late")
+        k.advance(0.5)
+
+    k.spawn(stepper, [0.1] * 8, name="tens")
+    k.spawn(stepper, [0.25, 0.25, 0.5, 0.05, 0.05], name="quarters")
+    s = k.spawn(sleeper, name="sleeper")
+    k.spawn(waker, s, name="waker")
+    k.spawn(spawner, name="spawner")
+    k.spawn(stepper, [0.4] * 4, name="tail", start_time=1.0)
+    end = k.run()
+    return end, k.events_processed, k.context_switches
+
+
+#: the event loop's result for ``_counter_scenario`` before the fast path
+EXPECTED_COUNTER_END = 2.5999999999999996
+EXPECTED_EVENTS = 40
+
+
+def test_counters_pinned():
+    """``events_processed`` counts every wake-up, fast-path advances
+    included, so it is a property of the schedule: the value below is
+    what the event loop without a fast path produced for this scenario.
+    ``context_switches`` counts only handoffs to another thread."""
+    end, events, switches = _counter_scenario()
+    assert end == EXPECTED_COUNTER_END
+    assert events == EXPECTED_EVENTS
+    assert switches < events
+    assert _counter_scenario() == (end, events, switches)
+
+
+def test_trace_hook_sees_every_wake_up_in_order():
+    lines = []
+    k = SimKernel(trace=lines.append)
+
+    def body(step):
+        for _ in range(2):
+            k.advance(step)
+
+    k.spawn(body, 1.0, name="a")
+    k.spawn(body, 1.5, name="b")
+    k.run()
+    assert lines == [
+        "[0.000000] resume a", "[0.000000] resume b",
+        "[1.000000] resume a", "[1.500000] resume b",
+        "[2.000000] resume a", "[3.000000] resume b",
+    ]
+    assert len(lines) == k.events_processed
+
+
+def test_raising_trace_hook_fails_the_run_instead_of_hanging():
+    calls = []
+
+    def trace(line):
+        calls.append(line)
+        if len(calls) == 2:
+            raise RuntimeError("trace sink full")
+
+    k = SimKernel(trace=trace)
+    # the failing line is the one for the handoff from a finished thread
+    k.spawn(lambda: None, name="first")
+    k.spawn(lambda: k.advance(2.0), name="second")
+    with pytest.raises(SimThreadFailed, match="trace sink full"):
+        k.run()
+    assert not _sim_os_threads(k)
