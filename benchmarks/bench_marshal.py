@@ -124,51 +124,40 @@ def _race(fn_a, fn_b, repeats=15, inner=8):
 @pytest.mark.parametrize("nbytes", [64 * 1024, 1024 * 1024],
                          ids=["64KiB", "1MiB"])
 def test_zero_copy_fragment_roundtrip_speedup(benchmark, nbytes):
-    """The tentpole ablation: a numeric fragment's encode→decode round
-    trip on the zero-copy lane (one pooled write, aliasing decode) vs the
-    classic lane (three encode copies + a decode copy) must be at least
-    2x faster at >= 64 KiB — the acceptance bar for the lane's existence."""
-    from repro.cdr import BufferPool, fast_path
+    """The zero-copy gate: a numeric fragment's encode→decode round trip
+    through the courier (one pooled write, aliasing decode) must be at
+    least 2x faster at >= 64 KiB than the one-shot CDR round trip
+    ``decode(encode(...))`` (three encode copies + a decode copy)."""
+    from repro.cdr import BufferPool, SequenceTC, decode, encode
     from repro.core.pipeline.courier import fragment_payload, fragment_values
 
     n = nbytes // 8
     data = np.arange(n, dtype=float)
     pool = BufferPool()
+    seq = SequenceTC(TC_DOUBLE)
 
     def roundtrip():
         payload = fragment_payload(TC_DOUBLE, data, pool)
-        out = fragment_values(TC_DOUBLE, payload, pool)
-        s = float(out[-1])
-        release = getattr(payload, "release", None)
-        if release is not None:
-            release()
+        s = float(fragment_values(TC_DOUBLE, payload, pool)[-1])
+        payload.release()
         return s
 
-    with fast_path(True):
-        assert roundtrip() == float(n - 1)
-        buf = fragment_payload(TC_DOUBLE, data, pool)
-    with fast_path(False):
-        assert roundtrip() == float(n - 1)
-        # Wire parity between the lanes, byte for byte.
-        assert bytes(buf.view()) == fragment_payload(TC_DOUBLE, data, pool)
+    def one_shot():
+        return float(decode(seq, encode(seq, data))[-1])
+
+    assert roundtrip() == one_shot() == float(n - 1)
+    # Wire parity with the one-shot stream, byte for byte.
+    buf = fragment_payload(TC_DOUBLE, data, pool)
+    assert bytes(buf.view()) == encode(seq, data)
     buf.release()
 
-    def fast():
-        with fast_path(True):
-            return roundtrip()
-
-    def slow():
-        with fast_path(False):
-            return roundtrip()
-
-    fast_s, slow_s = _race(fast, slow)
+    fast_s, slow_s = _race(roundtrip, one_shot)
     speedup = slow_s / fast_s
     benchmark.extra_info["fast_s"] = round(fast_s, 7)
     benchmark.extra_info["slow_s"] = round(slow_s, 7)
     benchmark.extra_info["speedup"] = round(speedup, 2)
-    # The reported timing respects the session's --fast-path flag.
     benchmark(roundtrip)
     assert speedup >= 2.0, (
-        f"zero-copy lane only {speedup:.2f}x faster at {nbytes} bytes "
+        f"zero-copy round trip only {speedup:.2f}x faster at {nbytes} bytes "
         f"(fast {fast_s * 1e6:.1f} us, slow {slow_s * 1e6:.1f} us)"
     )

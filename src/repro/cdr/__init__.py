@@ -5,26 +5,9 @@ marshaling routines serve both network transport and transport within a
 parallel program's communication domain (paper §4.1).
 """
 
-from .buffers import (
-    BufferPool,
-    PooledBuffer,
-    ZeroCopyStats,
-    fast_path,
-    fast_path_enabled,
-    get_pool,
-    set_fast_path,
-    set_pool,
-)
+from .buffers import BufferPool, PooledBuffer, ZeroCopyStats
 from .decoder import CdrDecoder, decode, decode_bulk_payload
-from .encoder import (
-    CdrEncoder,
-    MarshalError,
-    bulk_header_size,
-    encode,
-    encode_bulk_payload,
-    get_marshal_meter,
-    set_marshal_meter,
-)
+from .encoder import CdrEncoder, MarshalError, encode, encode_bulk_payload
 from .typecodes import (
     ArrayTC,
     DSequenceTC,
@@ -81,18 +64,10 @@ __all__ = [
     "TypeCode",
     "UnionTC",
     "ZeroCopyStats",
-    "bulk_header_size",
     "decode",
     "decode_bulk_payload",
     "encode",
     "encode_bulk_payload",
-    "fast_path",
-    "fast_path_enabled",
-    "get_marshal_meter",
-    "get_pool",
     "is_numeric_primitive",
-    "set_fast_path",
-    "set_marshal_meter",
-    "set_pool",
     "wire_size",
 ]

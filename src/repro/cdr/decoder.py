@@ -2,21 +2,18 @@
 
 from __future__ import annotations
 
-import struct
 from typing import Any
 
 import numpy as np
 
-from . import encoder as _encoder
 from .buffers import PooledBuffer
-from .encoder import MarshalError
+from .encoder import _ULONG, SCALAR_CODECS, MarshalError, _make_views
 from .typecodes import (
     ArrayTC,
     ObjectRefTC,
     TC_BOOLEAN as PRIM_BOOL,
     DSequenceTC,
     EnumTC,
-    INT_RANGES,
     PrimitiveTC,
     SequenceTC,
     StringTC,
@@ -63,13 +60,11 @@ class CdrDecoder:
             return chr(raw[0])
         if tc.name == "boolean":
             return bool(raw[0])
-        if tc.name in INT_RANGES:
-            return int(np.frombuffer(raw, dtype=tc.dtype)[0])
-        return float(struct.unpack("<f" if tc.size == 4 else "<d", raw)[0])
+        return SCALAR_CODECS[tc.name].unpack(raw)[0]
 
     def get_ulong(self) -> int:
         self.align(4)
-        return int(struct.unpack("<I", self._take(4))[0])
+        return _ULONG.unpack(self._take(4))[0]
 
     def get_string(self) -> str:
         n = self.get_ulong()
@@ -201,7 +196,7 @@ def decode_bulk_payload(element: PrimitiveTC, payload) -> np.ndarray:
         data = payload
     if avail < 4:
         raise MarshalError(f"bulk payload of {avail} bytes has no length word")
-    (n,) = struct.unpack_from("<I", data, 0)
+    (n,) = _ULONG.unpack_from(data, 0)
     size = element.size
     header = 4 + ((-4) % size)
     end = header + n * size
@@ -213,26 +208,20 @@ def decode_bulk_payload(element: PrimitiveTC, payload) -> np.ndarray:
     if pooled:
         pair = payload.views.get(element.name)
         if pair is None:
-            pair = _encoder._make_views(payload.views, element, data, header)
+            pair = _make_views(payload.views, element, data, header)
         arr = pair[1][:n]
     else:
         arr = np.frombuffer(data, dtype=element.dtype, count=n,
                             offset=header)
         if arr.flags.writeable:
             arr.flags.writeable = False
-    if _encoder._MARSHAL_METER is not None:
-        _encoder._MARSHAL_METER.on_decode(end)
     return arr
 
 
 def decode(tc: TypeCode, data: bytes) -> Any:
     """One-shot decode; requires the buffer to be fully consumed."""
-    from .encoder import _MARSHAL_METER
-
     dec = CdrDecoder(data)
     value = dec.decode(tc)
     if not dec.done():
         raise MarshalError(f"{dec.remaining} trailing bytes after decode")
-    if _MARSHAL_METER is not None:
-        _MARSHAL_METER.on_decode(len(data))
     return value

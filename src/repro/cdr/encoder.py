@@ -40,21 +40,16 @@ class MarshalError(ValueError):
     """Value cannot be encoded under the given TypeCode."""
 
 
-#: Optional global marshal meter (an object with ``on_encode(nbytes)`` /
-#: ``on_decode(nbytes)``), fed by the one-shot encode/decode entry points
-#: and the ORB's scalar/fragment helpers.  ``None`` (the default) keeps
-#: the hot paths at a single identity check.
-_MARSHAL_METER = None
-
-
-def set_marshal_meter(meter) -> None:
-    """Install (or clear, with ``None``) the global marshal byte meter."""
-    global _MARSHAL_METER
-    _MARSHAL_METER = meter
-
-
-def get_marshal_meter():
-    return _MARSHAL_METER
+#: One precompiled little-endian codec per integer and floating-point
+#: primitive (``char`` and ``boolean`` are single raw bytes); the decoder
+#: unpacks with the same objects.
+SCALAR_CODECS = {
+    name: struct.Struct("<" + code)
+    for name, code in (("octet", "B"), ("short", "h"), ("ushort", "H"),
+                       ("long", "i"), ("ulong", "I"), ("longlong", "q"),
+                       ("ulonglong", "Q"), ("float", "f"), ("double", "d"))
+}
+_ULONG = SCALAR_CODECS["ulong"]
 
 
 class CdrEncoder:
@@ -88,21 +83,20 @@ class CdrEncoder:
         if tc.name == "boolean":
             self._buf.append(1 if value else 0)
             return
-        if tc.name in INT_RANGES:
-            iv = int(value)
-            lo, hi = INT_RANGES[tc.name]
-            if not (lo <= iv <= hi):
-                raise MarshalError(f"{iv} out of range for {tc.name}")
-            self._buf.extend(np.array([iv], dtype=tc.dtype).tobytes())
-            return
-        # float / double
-        self._buf.extend(struct.pack("<f" if tc.size == 4 else "<d", float(value)))
+        bounds = INT_RANGES.get(tc.name)
+        if bounds is None:          # float / double
+            value = float(value)
+        else:
+            value = int(value)
+            if not (bounds[0] <= value <= bounds[1]):
+                raise MarshalError(f"{value} out of range for {tc.name}")
+        self._buf.extend(SCALAR_CODECS[tc.name].pack(value))
 
     def put_ulong(self, value: int) -> None:
         self.align(4)
         if not (0 <= value <= 0xFFFFFFFF):
             raise MarshalError(f"ulong out of range: {value}")
-        self._buf.extend(struct.pack("<I", value))
+        self._buf.extend(_ULONG.pack(value))
 
     def put_string(self, value: str, bound: int | None = None) -> None:
         data = value.encode("utf-8")
@@ -263,25 +257,9 @@ class CdrEncoder:
 
 def encode(tc: TypeCode, value: Any) -> bytes:
     """One-shot encode."""
-    data = CdrEncoder().encode(tc, value).getvalue()
-    if _MARSHAL_METER is not None:
-        _MARSHAL_METER.on_encode(len(data))
-    return data
+    return CdrEncoder().encode(tc, value).getvalue()
 
 
-def bulk_header_size(element: PrimitiveTC) -> int:
-    """Offset of the first element byte in a bulk sequence encoding.
-
-    A sequence encapsulation starts at offset 0, so the 4-byte ulong
-    length sits at 0 and the element data begins at 4 rounded up to the
-    element's alignment — identical to what ``put_ulong`` + ``align``
-    produce on an empty stream, which is the wire-parity invariant the
-    property suite checks.
-    """
-    return 4 + ((-4) % element.size)
-
-
-_ULONG = struct.Struct("<I")
 _PAD4 = b"\0\0\0\0"
 
 
@@ -328,6 +306,4 @@ def encode_bulk_payload(element: PrimitiveTC, values, pool):
     stats = pool.stats
     stats.fast_encodes += 1
     stats.bytes_fast += total
-    if _MARSHAL_METER is not None:
-        _MARSHAL_METER.on_encode(total)
     return buf

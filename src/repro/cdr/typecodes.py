@@ -266,9 +266,10 @@ def is_numeric_primitive(tc: TypeCode) -> bool:
     return isinstance(tc, PrimitiveTC) and tc.name not in ("char",)
 
 
-def wire_size(tc: TypeCode, value: Any, _offset: int = 0) -> int:
-    """Exact encoded size of ``value`` under ``tc`` starting at an aligned
-    offset — used to charge network time without double-encoding."""
+def wire_size(tc: TypeCode, value: Any) -> int:
+    """Exact encoded size of ``value`` under ``tc`` (a fresh, aligned
+    stream), used to charge network time.  It encodes ``value`` once and
+    discards the bytes."""
     from .encoder import CdrEncoder  # local import to avoid a cycle
 
     enc = CdrEncoder()

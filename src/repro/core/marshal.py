@@ -19,7 +19,6 @@ from ..cdr import (
     DSequenceTC,
     TypeCode,
 )
-from ..cdr import encoder as _cdr_encoder
 from .distribution import Distribution
 from .dsequence import DistributedSequence
 from .errors import BadOperation
@@ -36,18 +35,11 @@ def encode_scalars(specs: list[tuple[str, TypeCode]], values: dict) -> bytes:
     enc = CdrEncoder()
     for name, tc in specs:
         enc.encode(tc, values[name])
-    data = enc.getvalue()
-    meter = _cdr_encoder._MARSHAL_METER
-    if meter is not None:
-        meter.on_encode(len(data))
-    return data
+    return enc.getvalue()
 
 
 def decode_scalars(specs: list[tuple[str, TypeCode]], data: bytes) -> dict:
     dec = CdrDecoder(data)
-    meter = _cdr_encoder._MARSHAL_METER
-    if meter is not None:
-        meter.on_decode(len(data))
     return {name: dec.decode(tc) for name, tc in specs}
 
 
@@ -115,33 +107,6 @@ def wrap_out(param: ParamDef, dseq: DistributedSequence) -> Any:
     if param.adapter is not None:
         return param.adapter.wrap(dseq)
     return dseq
-
-
-def fragment_payload(element: TypeCode, values, pool=None):
-    """Encode one fragment's element run — re-exported from the fragment
-    courier (repro.core.pipeline.courier), the one owner of fragment
-    movement.  Numeric ndarray runs take the zero-copy lane and return a
-    :class:`~repro.cdr.buffers.PooledBuffer` lease; everything else
-    returns ``bytes``."""
-    from .pipeline.courier import fragment_payload as _impl
-
-    return _impl(element, values, pool)
-
-
-def fragment_values(element: TypeCode, payload, pool=None):
-    """Decode one fragment's element run (courier re-export); zero-copy
-    payloads decode to a read-only ndarray view, consumed before the
-    lease is released."""
-    from .pipeline.courier import fragment_values as _impl
-
-    return _impl(element, payload, pool)
-
-
-def release_payload(payload) -> None:
-    """Return a pooled fragment payload, if it is one (no-op on bytes)."""
-    release = getattr(payload, "release", None)
-    if release is not None:
-        release()
 
 
 # ---------------------------------------------------------------------------

@@ -134,9 +134,10 @@ class ORB:
         #: portable-interceptor chain shared by every program's request
         #: path in this world; empty by default (zero hot-path cost)
         self.interceptors = InterceptorChain(self.config.interceptors)
-        #: request-lifecycle observer (repro.tools.observe.attach_observer);
-        #: kept as a plain attribute for introspection — the observer's
-        #: span feed now arrives through the interceptor chain
+        #: request-lifecycle observer (repro.tools.observe.attach_observer):
+        #: the request state machines and the fragment courier report CDR
+        #: bytes and transfer schedules to it; its span feed arrives
+        #: through the interceptor chain
         self.observer = None
         #: (namespace, name) -> repro.services.ReplicaGroup, created lazily
         #: on the first policy-driven bind against that name

@@ -20,27 +20,28 @@ and client out-args).  The courier owns all four:
 ``transfer.extract`` and ``transfer.insert`` are called from nowhere
 else in the tree.
 
-Fragment payloads travel on one of two lanes.  The classic lane CDR-
-encodes ``sequence<element>`` into a fresh ``bytes``; the zero-copy lane
-(numeric elements, ndarray data, :func:`repro.cdr.fast_path_enabled`)
-writes the identical wire bytes once into a :class:`PooledBuffer` leased
-from the world transport's :class:`~repro.cdr.buffers.BufferPool` and
-decodes by aliasing, not copying.  The lease rides the
+A fragment's encoding follows from its element type alone.  Numeric
+elements (ndarray or list data alike) are written once into a
+:class:`~repro.cdr.buffers.PooledBuffer` leased from the world
+transport's :class:`~repro.cdr.buffers.BufferPool` and decode by
+aliasing, not copying; every other element type is CDR-encoded into a
+fresh ``bytes``.  Both carry the bytes of the element-wise
+``sequence<element>`` stream.  The lease rides the
 :class:`~repro.core.request.Fragment`; whoever consumes (or discards)
 the fragment must call :func:`release_fragment`.
+
+The courier also meters its own traffic: schedule lookups and fragment
+payload bytes go to the observer of the world doing the work (the ORB's
+``observer``, or ``world.services["observer"]`` for redistribution), so
+two simulations in one process never share counters.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
 from ...cdr import CdrDecoder, CdrEncoder, SequenceTC, TypeCode
-from ...cdr import buffers as _buffers
-from ...cdr import encoder as _cdr_encoder
-from ...cdr.buffers import get_pool
 from ...cdr.decoder import decode_bulk_payload
 from ...cdr.encoder import encode_bulk_payload
-from ...cdr.typecodes import PrimitiveTC
+from ...cdr.typecodes import is_numeric_primitive
 from ..distribution import Distribution
 from ..request import Fragment
 from .. import transfer as _transfer
@@ -49,47 +50,29 @@ __all__ = ["FragmentCourier", "fragment_payload", "fragment_values",
            "redistribute_exchange", "release_fragment"]
 
 
-def fragment_payload(element: TypeCode, values, pool=None):
+def fragment_payload(element: TypeCode, values, pool):
     """Encode one fragment's element run (``sequence<element>``).
 
-    Returns ``bytes`` on the classic lane, or a ``PooledBuffer`` lease on
-    the zero-copy lane; both carry identical wire bytes.  The caller owns
-    a returned lease.
+    Numeric elements return a ``PooledBuffer`` lease from ``pool`` (the
+    caller owns it); every other element type returns ``bytes``.
     """
-    # Inlined fast_path_enabled()/is_numeric_primitive(): this dispatch
-    # runs once per fragment, squarely on the hot path.
-    if (_buffers._ENABLED and isinstance(values, np.ndarray)
-            and isinstance(element, PrimitiveTC) and element.name != "char"):
-        return encode_bulk_payload(element, values,
-                                   pool if pool is not None else get_pool())
-    data = CdrEncoder().encode(SequenceTC(element), values).getvalue()
-    meter = _cdr_encoder._MARSHAL_METER
-    if meter is not None:
-        meter.on_encode(len(data))
-    stats = (pool if pool is not None else get_pool()).stats
-    stats.fallback_encodes += 1
-    return data
+    if is_numeric_primitive(element):
+        return encode_bulk_payload(element, values, pool)
+    pool.stats.fallback_encodes += 1
+    return CdrEncoder().encode(SequenceTC(element), values).getvalue()
 
 
-def fragment_values(element: TypeCode, payload, pool=None):
+def fragment_values(element: TypeCode, payload, pool):
     """Decode one fragment's element run.
 
-    Zero-copy lane payloads come back as a read-only ndarray aliasing the
+    Numeric payloads come back as a read-only ndarray aliasing the
     payload storage — consume it before releasing the buffer.
     """
-    stats = (pool if pool is not None else get_pool()).stats
-    if (_buffers._ENABLED and isinstance(element, PrimitiveTC)
-            and element.name != "char"):
-        stats.fast_decodes += 1
+    if is_numeric_primitive(element):
+        pool.stats.fast_decodes += 1
         return decode_bulk_payload(element, payload)
-    if not isinstance(payload, (bytes, bytearray, memoryview)):
-        payload = payload.tobytes()   # PooledBuffer sent while lane now off
-    dec = CdrDecoder(payload)
-    meter = _cdr_encoder._MARSHAL_METER
-    if meter is not None:
-        meter.on_decode(len(payload))
-    stats.fallback_decodes += 1
-    return dec.decode(SequenceTC(element))
+    pool.stats.fallback_decodes += 1
+    return CdrDecoder(payload).decode(SequenceTC(element))
 
 
 def release_fragment(frag) -> None:
@@ -101,6 +84,29 @@ def release_fragment(frag) -> None:
     release = getattr(getattr(frag, "payload", None), "release", None)
     if release is not None:
         release()
+
+
+def _schedule(observer, src_dist: Distribution, dst_dist: Distribution):
+    """:func:`~repro.core.transfer.cached_schedule`, reported to
+    ``observer`` (if any); a cache hit counts as one schedule too."""
+    sched = _transfer.cached_schedule(src_dist, dst_dist)
+    if observer is not None:
+        observer.on_schedule(len(sched), sum(t.size for t in sched))
+    return sched
+
+
+def _insert(frag: Fragment, element: TypeCode, dist: Distribution,
+            rank: int, local_data, pool, observer) -> None:
+    """Decode one fragment into local storage, then return its pooled
+    payload (also on decode/insert failure)."""
+    try:
+        values = fragment_values(element, frag.payload, pool)
+        if observer is not None:
+            observer.on_decode(len(frag.payload))
+        _transfer.insert(dist, rank, local_data, tuple(frag.intervals),
+                         values)
+    finally:
+        release_fragment(frag)
 
 
 class FragmentCourier:
@@ -120,7 +126,8 @@ class FragmentCourier:
                        oneway: bool = False) -> int:
         """Ship this thread's overlap of ``src_dist -> dst_dist`` directly
         to the destination threads; returns the bytes injected."""
-        sched = _transfer.cached_schedule(src_dist, dst_dist)
+        observer = self.ctx.orb.observer
+        sched = _schedule(observer, src_dist, dst_dist)
         src_addr = self.ctx.endpoint.address
         pool = self.transport.buffer_pool
         nbytes = 0
@@ -129,8 +136,10 @@ class FragmentCourier:
                 continue
             values = _transfer.extract(src_dist, rank, local_data,
                                        item.intervals)
-            frag = Fragment(req_id, param, rank, item.intervals,
-                            fragment_payload(element, values, pool))
+            payload = fragment_payload(element, values, pool)
+            if observer is not None:
+                observer.on_encode(len(payload))
+            frag = Fragment(req_id, param, rank, item.intervals, payload)
             frag_nb = frag.nbytes()
             self.transport.send(src_addr, endpoints[item.dst_rank], frag,
                                 tag=tag, nbytes=frag_nb, oneway=oneway)
@@ -139,11 +148,10 @@ class FragmentCourier:
 
     # -- receiving ---------------------------------------------------------
 
-    @staticmethod
-    def expected_fragments(src_dist: Distribution, dst_dist: Distribution,
-                           rank: int) -> int:
+    def expected_fragments(self, src_dist: Distribution,
+                           dst_dist: Distribution, rank: int) -> int:
         """How many fragments of ``src_dist -> dst_dist`` target ``rank``."""
-        sched = _transfer.cached_schedule(src_dist, dst_dist)
+        sched = _schedule(self.ctx.orb.observer, src_dist, dst_dist)
         return sum(1 for t in sched if t.dst_rank == rank)
 
     def receive_fragments(self, *, dist: Distribution, rank: int, local_data,
@@ -166,13 +174,8 @@ class FragmentCourier:
                         element: TypeCode, frag: Fragment) -> None:
         """Insert one received fragment into local storage, then return
         its pooled payload (also on decode/insert failure)."""
-        pool = self.transport.buffer_pool
-        try:
-            values = fragment_values(element, frag.payload, pool)
-            _transfer.insert(dist, rank, local_data, tuple(frag.intervals),
-                             values)
-        finally:
-            release_fragment(frag)
+        _insert(frag, element, dist, rank, local_data,
+                self.transport.buffer_pool, self.ctx.orb.observer)
 
 
 # ---------------------------------------------------------------------------
@@ -186,27 +189,28 @@ def redistribute_exchange(element: TypeCode, src_dist: Distribution,
     """Collective fragment exchange over the program's run-time system:
     every thread ships its overlaps of ``src_dist -> dst_dist`` and
     collects what lands on it (the engine behind
-    ``DistributedSequence.redistribute``)."""
+    ``DistributedSequence.redistribute``).  Payloads lease from, and
+    traffic is reported to, the world the run-time system runs in."""
     from ...runtime.collectives import _next_tag
 
-    sched = _transfer.cached_schedule(src_dist, dst_dist)
+    world = rts.program.world
+    pool = world.transport.buffer_pool
+    observer = world.services.get("observer")
+    sched = _schedule(observer, src_dist, dst_dist)
     tag = _next_tag(rts)
     for item in _transfer.outgoing(sched, rank):
         values = _transfer.extract(src_dist, rank, src_data, item.intervals)
-        payload = fragment_payload(element, values)
-        rts.send_reserved(item.dst_rank, (item.intervals, payload), tag,
-                          nbytes=len(payload))
+        payload = fragment_payload(element, values, pool)
+        if observer is not None:
+            observer.on_encode(len(payload))
+        # A Fragment keyed by the exchange's tag, so the receive side
+        # shares the ORB's decode/insert/release step.
+        rts.send_reserved(item.dst_rank,
+                          Fragment(tag, "", rank, item.intervals, payload),
+                          tag, nbytes=len(payload))
     for item in _transfer.local_items(sched, rank):
         values = _transfer.extract(src_dist, rank, src_data, item.intervals)
         _transfer.insert(dst_dist, rank, dst_data, item.intervals, values)
     for _ in range(len(_transfer.incoming(sched, rank))):
-        msg = rts.recv(tag=tag)
-        intervals, payload = msg.payload
-        try:
-            values = fragment_values(element, payload)
-            _transfer.insert(dst_dist, rank, dst_data, tuple(intervals),
-                             values)
-        finally:
-            release = getattr(payload, "release", None)
-            if release is not None:
-                release()
+        _insert(rts.recv(tag=tag).payload, element, dst_dist, rank,
+                dst_data, pool, observer)

@@ -32,6 +32,7 @@ point                     side   fires
                                  paired with ``receive_request``;
                                  exceptions raised here are swallowed
                                  (the request has already completed)
+                                 and counted
 ========================= ====== =========================================
 
 ``service_contexts`` is a plain ``str -> picklable`` dict carried on
@@ -195,11 +196,12 @@ class InterceptorChain:
 
     Points run in registration order.  ``active`` and ``wants_spans``
     are the two precomputed fast-path flags the state machines test on
-    the hot path.
+    the hot path.  ``finish_request_errors`` counts the exceptions
+    ``finish_request`` hooks raised (and the chain swallowed).
     """
 
     __slots__ = ("_interceptors", "_points", "_span_sinks",
-                 "active", "wants_spans")
+                 "active", "wants_spans", "finish_request_errors")
 
     def __init__(self, interceptors=()) -> None:
         self._interceptors: list[RequestInterceptor] = []
@@ -207,6 +209,7 @@ class InterceptorChain:
         self._span_sinks: tuple = ()
         self.active = False
         self.wants_spans = False
+        self.finish_request_errors = 0
         self._rebuild()
         for icept in interceptors:
             self.add(icept)
@@ -277,12 +280,13 @@ class InterceptorChain:
     def finish_request(self, info: ServerRequestInfo) -> None:
         """Completion notification: every registered hook runs even if an
         earlier one raises (the request is already terminal, so failures
-        here must not disturb the server loop)."""
+        here must not disturb the server loop); each swallowed exception
+        counts in ``finish_request_errors``."""
         for icept in self._points["finish_request"]:
             try:
                 icept.finish_request(info)
             except Exception:
-                pass
+                self.finish_request_errors += 1
 
     # -- span fan-out ------------------------------------------------------
 

@@ -73,6 +73,23 @@ from .interceptors import ClientRequestInfo, ServerRequestInfo
 __all__ = ["ClientRequestState", "ServerRequestState"]
 
 
+def _encoded(ctx, data: bytes) -> bytes:
+    """Report an encoded CDR stream to the world's observer; returns it."""
+    observer = ctx.orb.observer
+    if observer is not None:
+        observer.on_encode(len(data))
+    return data
+
+
+def _decoding(ctx, data: bytes) -> bytes:
+    """Report a CDR stream about to be decoded to the world's observer;
+    returns it."""
+    observer = ctx.orb.observer
+    if observer is not None:
+        observer.on_decode(len(data))
+    return data
+
+
 def _server_in_dist(ref: ObjectRef, op: OpDef, param, n: int) -> Distribution:
     """Server-side layout of a distributed in argument: the registration
     override if the server set one, else the IDL default."""
@@ -111,6 +128,7 @@ class ClientRequestState:
                 f"for {len(op.out_params)} out parameters"
             )
         self.chain = self.ctx.orb.interceptors
+        self.courier = FragmentCourier(self.ctx)
         self.state = "new"
         self.req_id = None
         self.info: Optional[ClientRequestInfo] = None
@@ -149,10 +167,10 @@ class ClientRequestState:
 
         # Partition arguments.
         named_in = dict(zip((p.name for p in op.in_params), self.in_values))
-        scalar_args = encode_scalars(
+        scalar_args = _encoded(ctx, encode_scalars(
             scalar_in_specs(op),
             {p.name: named_in[p.name] for p in op.scalar_in_params},
-        )
+        ))
         dseq_args: dict[str, DistributedSequence] = {}
         dseq_meta: dict[str, tuple] = {}
         for param in op.dseq_in_params:
@@ -217,10 +235,9 @@ class ClientRequestState:
             sent_nbytes += hdr_nb
 
         # Direct parallel transfer of distributed in-arguments.
-        courier = FragmentCourier(ctx)
         for param in op.dseq_in_params:
             ds = dseq_args[param.name]
-            sent_nbytes += courier.send_fragments(
+            sent_nbytes += self.courier.send_fragments(
                 src_dist=ds.dist,
                 dst_dist=_server_in_dist(ref, op, param, ds.dist.n),
                 rank=my_idx, local_data=ds.owned_data,
@@ -395,7 +412,7 @@ class ClientRequestState:
                 self.out_requests.get(param.name), param.tc.client_dist,
                 n, p_client,
             )
-            expected = FragmentCourier.expected_fragments(
+            expected = self.courier.expected_fragments(
                 server_dist, client_dist, my_idx)
             storage = DistributedSequence(param.tc.element, client_dist,
                                           my_idx)
@@ -414,7 +431,7 @@ class ClientRequestState:
         dist, storage, _ = state
         param = next(p for p in self.op.dseq_out_params
                      if p.name == frag.param)
-        FragmentCourier(self.ctx).insert_fragment(
+        self.courier.insert_fragment(
             dist, self.binding.client_index, storage.owned_data,
             param.tc.element, frag)
         state[2] -= 1
@@ -435,7 +452,7 @@ class ClientRequestState:
                 )
             from ...cdr import decode as cdr_decode
 
-            return cls(**cdr_decode(tc, data))
+            return cls(**cdr_decode(tc, _decoding(self.ctx, data)))
         if reply.status == STATUS_PEER_EXC:
             return SystemException(
                 f"{self.op.name} failed on a server thread (partial "
@@ -458,7 +475,8 @@ class ClientRequestState:
         spans = chain.wants_spans
         t0 = self.ctx.now() if spans else 0.0
         specs = scalar_result_specs(self.op)
-        scalars = decode_scalars(specs, self.reply.scalar_results)
+        scalars = decode_scalars(
+            specs, _decoding(self.ctx, self.reply.scalar_results))
         materialize_objrefs(specs, scalars, self.ctx)
         values = []
         if self.op.ret_tc is not None:
@@ -697,7 +715,7 @@ class ServerRequestState:
         hdr = self.hdr
         op = self.op
         specs = scalar_in_specs(op)
-        scalars = decode_scalars(specs, hdr.scalar_args)
+        scalars = decode_scalars(specs, _decoding(ctx, hdr.scalar_args))
         materialize_objrefs(specs, scalars, ctx)
         values: dict[str, Any] = dict(scalars)
         for param in op.dseq_in_params:
@@ -711,7 +729,7 @@ class ServerRequestState:
                 dist=server_dist, rank=ctx.rank,
                 local_data=storage.owned_data, element=param.tc.element,
                 req_id=hdr.req_id, param=param.name,
-                expected=FragmentCourier.expected_fragments(
+                expected=self.courier.expected_fragments(
                     client_dist, server_dist, ctx.rank),
                 tag=TAG_ARG_FRAGMENT, reason=f"arg {param.name}",
             )
@@ -767,11 +785,11 @@ class ServerRequestState:
                 except Exception as exc:
                     self._reject(exc, respect_oneway=True)
                     return
-            scalar_bytes = encode_scalars(
+            scalar_bytes = _encoded(ctx, encode_scalars(
                 scalar_result_specs(op),
                 {k: v for k, v in out_values.items()
                  if k == "__return" or not _is_dseq_param(op, k)},
-            )
+            ))
             contexts = dict(self.info.reply_service_contexts)
             if self.poa.admission is not None:
                 # Piggyback the load report / backpressure hint
@@ -819,8 +837,8 @@ class ServerRequestState:
             if user:
                 reply = ReplyHeader(
                     hdr.req_id, STATUS_USER_EXC,
-                    exception=(exc._repo_id,
-                               cdr_encode(exc._typecode, exc._values())),
+                    exception=(exc._repo_id, _encoded(
+                        self.ctx, cdr_encode(exc._typecode, exc._values()))),
                 )
             else:
                 reply = ReplyHeader(

@@ -18,22 +18,6 @@ import numpy as np
 from .distribution import Distribution, Interval
 
 
-#: Optional schedule observer (an object with ``on_schedule(nfragments,
-#: nelements)``), installed by repro.tools.observe.  ``None`` keeps
-#: schedule() at a single identity check.
-_OBSERVER = None
-
-
-def set_observer(obs) -> None:
-    """Install (or clear, with ``None``) the global schedule observer."""
-    global _OBSERVER
-    _OBSERVER = obs
-
-
-def get_observer():
-    return _OBSERVER
-
-
 @dataclass(frozen=True)
 class TransferItem:
     """One point-to-point fragment of a schedule."""
@@ -83,8 +67,6 @@ def schedule(src: Distribution, dst: Distribution) -> list[TransferItem]:
             common = _intersect(s_ivs, dst.intervals(d))
             if common:
                 items.append(TransferItem(s, d, common))
-    if _OBSERVER is not None:
-        _OBSERVER.on_schedule(len(items), sum(t.size for t in items))
     return items
 
 
@@ -93,7 +75,7 @@ def schedule(src: Distribution, dst: Distribution) -> list[TransferItem]:
 #: every invocation of the same operation; the cache turns that into one
 #: dict lookup.  Bounded FIFO eviction keeps it from growing with the
 #: number of distinct layouts, not the number of requests.
-_SCHEDULE_CACHE: dict[tuple, tuple] = {}
+_SCHEDULE_CACHE: dict[tuple, list[TransferItem]] = {}
 _SCHEDULE_CACHE_MAX = 512
 
 
@@ -103,19 +85,14 @@ def _dist_key(d: Distribution) -> tuple:
 
 def cached_schedule(src: Distribution, dst: Distribution) -> list[TransferItem]:
     """Memoizing :func:`schedule`.  Returns a shared list — callers must
-    not mutate it.  The schedule observer is notified on hits as well, so
-    its counters keep counting logical schedule computations."""
+    not mutate it."""
     key = (_dist_key(src), _dist_key(dst))
-    hit = _SCHEDULE_CACHE.get(key)
-    if hit is not None:
-        items, nfrag, nelem = hit
-        if _OBSERVER is not None:
-            _OBSERVER.on_schedule(nfrag, nelem)
-        return items
-    items = schedule(src, dst)
-    if len(_SCHEDULE_CACHE) >= _SCHEDULE_CACHE_MAX:
-        _SCHEDULE_CACHE.pop(next(iter(_SCHEDULE_CACHE)))
-    _SCHEDULE_CACHE[key] = (items, len(items), sum(t.size for t in items))
+    items = _SCHEDULE_CACHE.get(key)
+    if items is None:
+        items = schedule(src, dst)
+        if len(_SCHEDULE_CACHE) >= _SCHEDULE_CACHE_MAX:
+            _SCHEDULE_CACHE.pop(next(iter(_SCHEDULE_CACHE)))
+        _SCHEDULE_CACHE[key] = items
     return items
 
 

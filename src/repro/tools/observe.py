@@ -20,8 +20,9 @@ reply      server  reply header + result-fragment injection
 ========== ======= ====================================================
 
 The observer also owns a :class:`~repro.tools.trace.PacketTrace` (every
-packet the transport moves), global CDR byte counters fed by the
-encoder/decoder, transfer-schedule counters, and — when a
+packet the transport moves), CDR byte counters and transfer-schedule
+counters fed by this world's ORB (request state machines and fragment
+courier), and — when a
 :class:`~repro.tools.metrics.ComputeMeter` is attached to the same world
 — per-node compute utilization.  One ``world.services["observer"]``
 object therefore answers "where did this request spend its time".
@@ -153,9 +154,9 @@ class RequestObserver:
         self._request_capacity = span_capacity
         self.packet_trace = PacketTrace(RingBuffer(packet_capacity))
         self.meter: Optional[ComputeMeter] = None
-        #: global CDR stream bytes (fed by the encoder/decoder hook)
+        #: CDR stream bytes this world's ORB encoded and decoded
         self.cdr_bytes = {"encoded": 0, "decoded": 0}
-        #: transfer-schedule counters (fed by repro.core.transfer)
+        #: transfer-schedule lookups of this world's fragment courier
         self.transfer = {"schedules": 0, "fragments": 0, "elements": 0}
         #: the world transport's ZeroCopyStats (set by attach_observer)
         self.zero_copy = None
@@ -263,15 +264,13 @@ class RequestObserver:
             drops.labels(store="requests").set(self.requests_dropped)
             drops.labels(store="spans_unsampled").set(self.spans_unsampled)
 
-    # -- CDR marshal-meter protocol (repro.cdr.encoder.set_marshal_meter) --
+    # -- byte and schedule meter (called by repro.core.pipeline) ----------
 
     def on_encode(self, nbytes: int) -> None:
         self.cdr_bytes["encoded"] += nbytes
 
     def on_decode(self, nbytes: int) -> None:
         self.cdr_bytes["decoded"] += nbytes
-
-    # -- transfer-schedule hook (repro.core.transfer.set_observer) ---------
 
     def on_schedule(self, nfragments: int, nelements: int) -> None:
         self.transfer["schedules"] += 1
@@ -561,6 +560,11 @@ class RequestObserver:
                 f"fragments, {self.orb.dead_result_fragments} result "
                 f"fragments"
             )
+        errors = (self.orb.interceptors.finish_request_errors
+                  if self.orb is not None else 0)
+        if errors:
+            lines.append(f"  interceptor errors: {errors} raised in "
+                         f"finish_request and swallowed")
         lines.append(f"  cdr streams: {self.cdr_bytes['encoded']} bytes "
                      f"encoded, {self.cdr_bytes['decoded']} bytes decoded")
         lines.append(f"  transfer schedules: {self.transfer['schedules']} "
@@ -614,13 +618,12 @@ def attach_observer(world, label: str = "") -> RequestObserver:
 
     Registers it as ``world.services["observer"]``, registers an
     :class:`ObserverInterceptor` on the ORB's interceptor chain (the span
-    feed), subscribes its packet trace to the transport, installs the CDR
-    byte meter and the transfer-schedule hook, and picks up a previously
-    attached :class:`ComputeMeter` if one exists.
+    feed) and as ``orb.observer`` (the CDR byte and transfer-schedule
+    meter), subscribes its packet trace to the transport, and picks up a
+    previously attached :class:`ComputeMeter` if one exists.  Everything
+    it hooks belongs to ``world``: observers of other worlds in the same
+    process never see its counts.
     """
-    from ..cdr.encoder import set_marshal_meter
-    from ..core import transfer as _transfer
-
     obs = RequestObserver(label=label)
     world.services["observer"] = obs
     orb = world.services.get("orb")
@@ -638,16 +641,11 @@ def attach_observer(world, label: str = "") -> RequestObserver:
     registry = world.services.get("metrics")
     if registry is not None:
         obs.bind_metrics(registry)
-    set_marshal_meter(obs)
-    _transfer.set_observer(obs)
     return obs
 
 
 def detach_observer(world) -> Optional[RequestObserver]:
     """Undo :func:`attach_observer`; returns the removed observer."""
-    from ..cdr.encoder import get_marshal_meter, set_marshal_meter
-    from ..core import transfer as _transfer
-
     obs = world.services.pop("observer", None)
     if obs is None:
         return None
@@ -661,10 +659,6 @@ def detach_observer(world) -> Optional[RequestObserver]:
         world.transport.observers.remove(obs.packet_trace)
     except ValueError:
         pass
-    if get_marshal_meter() is obs:
-        set_marshal_meter(None)
-    if _transfer.get_observer() is obs:
-        _transfer.set_observer(None)
     return obs
 
 

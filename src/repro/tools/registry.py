@@ -390,6 +390,10 @@ def attach_metrics(world) -> MetricsRegistry:
                                ("kind",))
         dead = reg.counter("pardis_dead_fragments_total",
                            "orphaned fragments dead-lettered", ("kind",))
+        swallowed = reg.counter(
+            "pardis_interceptor_errors_total",
+            "exceptions raised by interceptors and swallowed by the chain",
+            ("point",))
 
         @reg.register_collector
         def _collect_orb() -> None:
@@ -397,6 +401,8 @@ def attach_metrics(world) -> MetricsRegistry:
             requests.labels(kind="local_bypass").set(orb.local_bypasses)
             dead.labels(kind="arg").set(orb.dead_fragments)
             dead.labels(kind="result").set(orb.dead_result_fragments)
+            swallowed.labels(point="finish_request").set(
+                orb.interceptors.finish_request_errors)
 
     if orb is not None:
         # Services layer (repro.services): admission controllers register

@@ -1,11 +1,14 @@
-"""Generative wire-parity tests for the zero-copy marshaling lane.
+"""Generative wire-parity tests for pooled bulk fragment payloads.
 
-The zero-copy lane (`encode_bulk_payload`/`decode_bulk_payload`) must be
-byte-for-byte indistinguishable from the classic CDR stream for every
-numeric element type, every value pattern (including NaN payloads and
-denormals, generated here from raw bytes), and every input layout
-(non-contiguous slices, reversed strides, empty arrays).  The properties
-hold at the courier level too, where the lane switch actually lives.
+Numeric fragments always travel as pooled bulk payloads
+(`encode_bulk_payload`/`decode_bulk_payload`).  They must be byte-for-byte
+the element-wise CDR stream — a ``ulong`` count, the pad to the element
+alignment, then one ``put_primitive`` per element — for every numeric
+element type and every input layout (non-contiguous slices, reversed
+strides, empty arrays), and equal to ``CdrEncoder``'s sequence encoding
+for every raw bit pattern (NaN payloads and denormals, generated here
+from raw bytes).  The properties hold at the courier level too, for
+ndarray and list data alike.
 """
 
 import numpy as np
@@ -29,7 +32,6 @@ from repro.cdr import (
     decode,
     decode_bulk_payload,
     encode_bulk_payload,
-    fast_path,
 )
 from repro.core.pipeline.courier import fragment_payload, fragment_values
 
@@ -60,7 +62,31 @@ def tc_and_strided(draw):
     return tc, arr
 
 
+def representable(tc, arr):
+    """``arr`` as values Python scalars carry exactly: a boolean is 0 or
+    1, and a float signalling NaN becomes quiet (CPython's float32 pack
+    sets the quiet bit)."""
+    if tc is TC_BOOLEAN:
+        return (arr != 0).astype(tc.dtype)
+    if tc is TC_FLOAT:
+        bits = arr.view("<u4").copy()
+        bits[np.isnan(arr)] |= 0x00400000
+        return bits.view(tc.dtype)
+    return arr
+
+
 def slow_wire(tc, arr) -> bytes:
+    """The element-wise reference stream (the count's pad is part of the
+    wire format even for an empty sequence: the decoder expects it)."""
+    enc = CdrEncoder()
+    enc.put_ulong(len(arr))
+    enc.align(tc.size)
+    for value in arr.tolist():
+        enc.put_primitive(tc, value)
+    return enc.getvalue()
+
+
+def sequence_wire(tc, arr) -> bytes:
     return CdrEncoder().encode(SequenceTC(tc), arr).getvalue()
 
 
@@ -75,14 +101,23 @@ def fast_wire(tc, arr, pool) -> bytes:
 @given(tc_and_array())
 def test_fast_encode_matches_slow_wire_bytes(case):
     tc, arr = case
+    arr = representable(tc, arr)
     pool = BufferPool()
     assert fast_wire(tc, arr, pool) == slow_wire(tc, arr)
     assert pool.stats.outstanding == 0
 
 
+@given(tc_and_array())
+def test_fast_encode_matches_sequence_encoder_on_raw_bits(case):
+    """Every bit pattern, NaN payloads and non-0/1 booleans included."""
+    tc, arr = case
+    assert fast_wire(tc, arr, BufferPool()) == sequence_wire(tc, arr)
+
+
 @given(tc_and_strided())
 def test_fast_encode_matches_slow_on_non_contiguous_input(case):
     tc, arr = case
+    arr = representable(tc, arr)
     pool = BufferPool()
     assert fast_wire(tc, arr, pool) == slow_wire(tc, arr)
 
@@ -104,9 +139,10 @@ def test_fast_decode_roundtrips_exactly(case):
 
 @given(tc_and_array())
 def test_lanes_decode_each_other(case):
-    """Cross-lane: slow decode of a fast payload and fast decode of a
-    slow payload both reproduce the values."""
+    """Cross-check: ``CdrDecoder`` on a pooled payload and the aliasing
+    bulk decode of an element-wise stream both reproduce the values."""
     tc, arr = case
+    arr = representable(tc, arr)
     pool = BufferPool()
     buf = encode_bulk_payload(tc, arr, pool)
     via_slow = decode(SequenceTC(tc), buf.tobytes())
@@ -118,20 +154,20 @@ def test_lanes_decode_each_other(case):
 
 @given(tc_and_array())
 def test_courier_lanes_produce_identical_wire_bytes(case):
-    """The dispatch point itself: fragment_payload with the lane on and
-    off yields the same bytes, and fragment_values round-trips both."""
+    """The courier itself: ndarray and list data both become pooled bulk
+    payloads carrying the element-wise stream, and fragment_values
+    round-trips both."""
     tc, arr = case
+    arr = representable(tc, arr)
     pool = BufferPool()
-    with fast_path(True):
-        buf = fragment_payload(tc, arr, pool)
-        fast_out = fragment_values(tc, buf, pool)
-        fast_bytes = bytes(buf.view())
-    with fast_path(False):
-        wire = fragment_payload(tc, arr, pool)
-        slow_out = fragment_values(tc, wire, pool)
-    assert fast_bytes == wire
-    assert np.asarray(fast_out).tobytes() == np.asarray(slow_out).tobytes()
-    buf.release()
+    from_array = fragment_payload(tc, arr, pool)
+    from_list = fragment_payload(tc, arr.tolist(), pool)
+    assert bytes(from_array.view()) == slow_wire(tc, arr)
+    assert bytes(from_list.view()) == slow_wire(tc, arr)
+    for buf in (from_array, from_list):
+        assert fragment_values(tc, buf, pool).tobytes() == arr.tobytes()
+        buf.release()
+    assert pool.stats.fast_encodes == pool.stats.fast_decodes == 2
     assert pool.stats.outstanding == 0
 
 
@@ -140,11 +176,12 @@ def test_courier_lanes_produce_identical_wire_bytes(case):
        st.lists(st.floats(min_value=-100, max_value=100,
                           allow_nan=False), max_size=32))
 def test_casting_parity_from_float_arrays(tc, values):
-    """Both lanes apply numpy's (unsafe) cast identically when the array
-    dtype differs from the element type."""
+    """The pooled payload and ``CdrEncoder``'s sequence encoding apply
+    numpy's (unsafe) cast identically when the array dtype differs from
+    the element type."""
     arr = np.array(values, dtype="f8")
     pool = BufferPool()
-    assert fast_wire(tc, arr, pool) == slow_wire(tc, arr)
+    assert fast_wire(tc, arr, pool) == sequence_wire(tc, arr)
 
 
 @given(st.sampled_from(NUMERIC_TCS))
@@ -166,4 +203,4 @@ def test_pool_reuse_does_not_leak_stale_bytes(case):
     # Dirty a bucket with a larger payload first.
     big = np.arange(64, dtype=tc.dtype)
     encode_bulk_payload(tc, big, pool).release()
-    assert fast_wire(tc, arr, pool) == slow_wire(tc, arr)
+    assert fast_wire(tc, arr, pool) == sequence_wire(tc, arr)

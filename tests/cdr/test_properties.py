@@ -1,10 +1,14 @@
 """Property-based round-trip tests for the CDR layer."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cdr import (
+    CdrDecoder,
+    CdrEncoder,
     EnumTC,
+    PRIMITIVES,
     SequenceTC,
     StringTC,
     StructTC,
@@ -14,9 +18,11 @@ from repro.cdr import (
     TC_OCTET,
     TC_SHORT,
     TC_ULONG,
+    MarshalError,
     decode,
     encode,
 )
+from repro.cdr.typecodes import INT_RANGES
 
 INT_TCS = {
     "octet": (TC_OCTET, st.integers(0, 255)),
@@ -33,6 +39,41 @@ def test_integer_roundtrip(kind, data):
     tc, strat = INT_TCS[kind]
     value = data.draw(strat)
     assert decode(tc, encode(tc, value)) == value
+
+
+INTEGER_TYPECODES = sorted(INT_RANGES)
+
+
+@st.composite
+def integer_and_value(draw):
+    """An integer typecode and a value in its range, biased to the
+    boundaries (each end and one step inside it)."""
+    name = draw(st.sampled_from(INTEGER_TYPECODES))
+    lo, hi = INT_RANGES[name]
+    value = draw(st.one_of(st.sampled_from([lo, lo + 1, 0, hi - 1, hi]),
+                           st.integers(lo, hi)))
+    return PRIMITIVES[name], value
+
+
+@given(integer_and_value())
+def test_scalar_integer_codec_matches_numpy_bytes(case):
+    """put_primitive writes numpy's bytes for the value and
+    get_primitive reads them back as a Python int."""
+    tc, value = case
+    enc = CdrEncoder()
+    enc.put_primitive(tc, value)
+    data = enc.getvalue()
+    assert data == np.array([value], dtype=tc.dtype).tobytes()
+    got = CdrDecoder(data).get_primitive(tc)
+    assert type(got) is int and got == value
+
+
+@given(st.sampled_from(INTEGER_TYPECODES), st.booleans())
+def test_scalar_integer_codec_rejects_one_past_the_range(name, above):
+    lo, hi = INT_RANGES[name]
+    with pytest.raises(MarshalError, match="out of range"):
+        CdrEncoder().put_primitive(PRIMITIVES[name],
+                                   hi + 1 if above else lo - 1)
 
 
 @given(finite_doubles)

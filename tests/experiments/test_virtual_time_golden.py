@@ -26,6 +26,7 @@ from repro.experiments.fig2_solvers import run_fig2
 from repro.experiments.fig4_dna import run_fig4
 from repro.experiments.fig5_pipeline import run_fig5, run_overall
 from repro.experiments.saturation import run_saturation
+from repro.tools.observe import TraceSession
 
 GOLDEN = pathlib.Path(__file__).with_name("virtual_time_golden.json")
 
@@ -48,13 +49,21 @@ def _rows(rows, skip=frozenset()):
             for r in rows]
 
 
+def collect_figures(session=None) -> dict:
+    """fig2, fig4 and fig5 at the CLI smoke sizes; ``session`` (a
+    :class:`~repro.tools.observe.TraceSession`) instruments every run."""
+    return {
+        "fig2": _rows(run_fig2(sizes=(200,), session=session), _NOT_VIRTUAL),
+        "fig4": _rows(run_fig4(procs=(2,), n_seqs=60, rounds=3,
+                               session=session)),
+        "fig5": _rows(run_fig5(procs=(2,), steps=10, session=session)),
+    }
+
+
 def collect() -> dict:
     """Every pinned figure, keyed by experiment."""
     out = {
-        # the CLI smoke sizes
-        "fig2": _rows(run_fig2(sizes=(200,)), _NOT_VIRTUAL),
-        "fig4": _rows(run_fig4(procs=(2,), n_seqs=60, rounds=3)),
-        "fig5": _rows(run_fig5(procs=(2,), steps=10)),
+        **collect_figures(),
         "saturation": {
             series: _rows(rows) for series, rows in run_saturation(
                 clients=(1, 4, 8), requests=10, capacity=4).items()
@@ -90,6 +99,18 @@ def results():
 def test_virtual_times_match_golden(results, experiment):
     golden = json.loads(GOLDEN.read_text())
     assert results[experiment] == golden[experiment]
+
+
+def test_every_instrument_leaves_the_figures_unchanged():
+    """Observation must not change the answer: with an observer, tracing
+    and a metrics registry on every run, the figures match the golden."""
+    session = TraceSession(tracing=True, metrics=True)
+    figures = collect_figures(session)
+    golden = json.loads(GOLDEN.read_text())
+    assert figures == {name: golden[name] for name in figures}
+    assert len(session.registries) == len(session.runs) > 0
+    assert all(len(obs) > 0 and obs.cdr_bytes["encoded"] > 0
+               for obs in session.runs)
 
 
 if __name__ == "__main__":  # pragma: no cover - regeneration helper

@@ -3,9 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.cdr.encoder import get_marshal_meter
 from repro.core import Simulation
-from repro.core import transfer as _transfer
 from repro.idl import compile_idl
 from repro.tools import (
     RequestObserver,
@@ -29,19 +27,10 @@ def mod():
     return compile_idl(IDL, module_name="observe_stubs")
 
 
-@pytest.fixture(autouse=True)
-def _clean_globals():
-    """The observer installs process-global hooks; never leak them."""
-    yield
-    from repro.cdr.encoder import set_marshal_meter
-
-    set_marshal_meter(None)
-    _transfer.set_observer(None)
-
-
-def run_observed(mod, nprocs=2, requests=3):
+def build_stats_world(mod, nprocs=2, requests=3, observe=True):
+    """A stats server and an SPMD client in one world, not yet run."""
     sim = Simulation()
-    obs = sim.attach_observer(label="t")
+    obs = sim.attach_observer(label="t") if observe else None
 
     def server_main(ctx):
         class Impl(mod.stats_skel):
@@ -67,6 +56,11 @@ def run_observed(mod, nprocs=2, requests=3):
         out["totals"] = [s.total(data) for _ in range(requests)]
 
     sim.client(client_main, host="HOST_1", nprocs=nprocs, name="stats-client")
+    return sim, obs, out
+
+
+def run_observed(mod, nprocs=2, requests=3):
+    sim, obs, out = build_stats_world(mod, nprocs, requests)
     sim.run()
     return sim, obs, out
 
@@ -135,24 +129,83 @@ class TestObserverEndToEnd:
         assert "cdr streams:" in text
 
     def test_detach_restores_globals(self, mod):
+        """Detach restores the world's blackboard (``world.services``) and
+        every hook attach set; no process-global hook exists."""
         sim, obs, _out = run_observed(mod)
-        assert get_marshal_meter() is obs
-        assert _transfer.get_observer() is obs
+        assert sim.orb.observer is obs
         removed = detach_observer(sim.world)
         assert removed is obs
         assert sim.orb.observer is None
-        assert get_marshal_meter() is None
-        assert _transfer.get_observer() is None
+        assert "observer" not in sim.world.services
         assert obs.packet_trace not in sim.world.transport.observers
+        assert len(sim.orb.interceptors) == 0
+
+
+class TestWorldIsolation:
+    """Counters belong to the world that did the work: two simulations in
+    one process never see each other's bytes or schedules."""
+
+    @staticmethod
+    def counts(obs):
+        return dict(obs.cdr_bytes), dict(obs.transfer)
+
+    def test_each_world_counts_only_its_own_traffic(self, mod):
+        _sim, solo, _out = run_observed(mod)
+        assert solo.cdr_bytes["encoded"] > 0
+        assert solo.transfer["schedules"] > 0
+
+        sim_a, obs_a, _ = build_stats_world(mod)
+        _sim_b, obs_b, _ = build_stats_world(mod)
+        sim_a.run()
+        assert self.counts(obs_a) == self.counts(solo)
+        assert obs_b.cdr_bytes == {"encoded": 0, "decoded": 0}
+        assert obs_b.transfer == {"schedules": 0, "fragments": 0,
+                                  "elements": 0}
+
+        unobserved, _, _ = build_stats_world(mod, observe=False)
+        unobserved.run()
+        assert self.counts(obs_a) == self.counts(solo)
+        assert obs_b.transfer["schedules"] == 0
+
+    def test_redistribution_reports_to_its_world(self):
+        from repro.core import Distribution
+        from repro.core.dsequence import DistributedSequence
+
+        def build(observe):
+            sim = Simulation()
+            obs = sim.attach_observer() if observe else None
+
+            def main(ctx):
+                n = 40
+                d = DistributedSequence.from_global(
+                    np.arange(n, dtype=float),
+                    Distribution.block(n, ctx.nprocs), ctx.rank)
+                d.redistribute(Distribution.of_kind("CYCLIC", n, ctx.nprocs),
+                               ctx.rts)
+
+            sim.client(main, host="HOST_1", nprocs=3)
+            return sim, obs
+
+        sim_a, obs_a = build(True)
+        _sim_b, obs_b = build(True)
+        sim_a.run()
+        build(False)[0].run()
+        assert obs_a.transfer["schedules"] == 3    # one per thread
+        assert obs_a.cdr_bytes["encoded"] == obs_a.cdr_bytes["decoded"] > 0
+        assert obs_b.transfer["schedules"] == 0
+        assert obs_b.cdr_bytes == {"encoded": 0, "decoded": 0}
+        stats = sim_a.world.transport.buffer_pool.stats
+        assert stats.fast_encodes == stats.borrows > 0  # leased from world A
+        assert stats.outstanding == 0
 
 
 class TestDisabledByDefault:
     def test_no_observer_without_attach(self, mod):
         sim = Simulation()
         assert sim.orb.observer is None
+        assert "observer" not in sim.world.services
         assert sim.world.transport.observers == []
-        assert get_marshal_meter() is None
-        assert _transfer.get_observer() is None
+        assert len(sim.orb.interceptors) == 0
 
     def test_run_unobserved_records_nothing(self, mod):
         sim = Simulation()
@@ -267,7 +320,9 @@ class TestBoundedStores:
 
         obs = RequestObserver()
         obs.span("compute", "op", "r", "prog", 0, 0.0, 1.0)
-        obs.orb = SimpleNamespace(dead_fragments=2, dead_result_fragments=1)
+        obs.orb = SimpleNamespace(
+            dead_fragments=2, dead_result_fragments=1,
+            interceptors=SimpleNamespace(finish_request_errors=0))
         assert ("dead-lettered: 2 argument fragments, 1 result fragments"
                 in obs.report())
 
