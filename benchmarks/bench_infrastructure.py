@@ -215,8 +215,8 @@ def test_tracing_overhead_gate():
     estimate of intrinsic cost — the same reasoning as ``timeit``).
     Widen with PARDIS_OVERHEAD_GATE_PCT for pathologically noisy
     machines.  The full observability stack (observer + tracer +
-    metrics) is measured alongside for the record — it flips the chain's
-    span machinery on and has no 5% budget.
+    metrics) is measured alongside for the record — it turns the
+    observer's span recording on and has no 5% budget.
     """
     import os
 

@@ -12,8 +12,7 @@ This module implements what the compiler-generated stubs delegate to:
 The per-request protocol work — marshaling, direct parallel fragment
 transfer, reply/fragment collection, future resolution, interceptor
 dispatch — lives in
-:class:`repro.core.pipeline.state.ClientRequestState`, which this module
-re-exports under its historic name :class:`PendingRequest`.
+:class:`repro.core.pipeline.state.ClientRequestState`.
 """
 
 from __future__ import annotations
@@ -28,10 +27,7 @@ from .pipeline.interceptors import ClientRequestInfo
 from .pipeline.state import ClientRequestState
 from .repository import ObjectRef
 
-#: historic name of the client-side progress engine
-PendingRequest = ClientRequestState
-
-__all__ = ["Binding", "PendingRequest", "invoke"]
+__all__ = ["Binding", "invoke"]
 
 
 class Binding:
@@ -139,8 +135,8 @@ def _invoke_local(binding: Binding, op: OpDef, in_values: tuple,
 
     A raising servant behaves like the remote path: blocking calls
     re-raise, non-blocking calls return a *failed* future (and fail the
-    placeholders), and the request reaches a "failed" terminal status on
-    the interceptor chain.
+    placeholders), and the request reaches a "failed" terminal status in
+    the world's observer.
     """
     ctx = binding.ctx
     ctx.compute(ctx.orb.config.local_call_overhead)
@@ -150,11 +146,11 @@ def _invoke_local(binding: Binding, op: OpDef, in_values: tuple,
     ctx.orb.local_bypasses += 1
     req_id = binding.next_req_id()
     chain = ctx.orb.interceptors
-    spans = chain.wants_spans
-    t0 = ctx.now() if spans else 0.0
-    if spans:
-        chain.request_started(req_id, op.name, ctx.program.name,
-                              binding.client_index, t0)
+    obs = ctx.orb.observer
+    t0 = ctx.now() if obs is not None else 0.0
+    if obs is not None:
+        obs.request_started(req_id, op.name, ctx.program.name,
+                            binding.client_index, t0)
     # The client interception points still frame the direct call
     # (``info.local`` marks that nothing travels on the wire), so
     # context-scoped interceptors see a balanced send/receive pair.
@@ -172,12 +168,12 @@ def _invoke_local(binding: Binding, op: OpDef, in_values: tuple,
             except Exception as replaced:
                 exc = replaced
                 info.exception = exc
-        if spans:
+        if obs is not None:
             now = ctx.now()
-            chain.span("local", op.name, req_id, ctx.program.name,
-                       binding.client_index, t0, now)
-            chain.request_finished(req_id, ctx.program.name,
-                                   binding.client_index, now, "failed")
+            obs.span("local", op.name, req_id, ctx.program.name,
+                     binding.client_index, t0, now)
+            obs.request_finished(req_id, ctx.program.name,
+                                 binding.client_index, now, "failed")
         if blocking:
             raise exc
         fut = Future(label=f"{op.name}(local)")
@@ -201,12 +197,12 @@ def _invoke_local(binding: Binding, op: OpDef, in_values: tuple,
             chain.receive_reply(info)
         except Exception as exc:
             return _failed(exc)
-    if spans:
+    if obs is not None:
         now = ctx.now()
-        chain.span("local", op.name, req_id, ctx.program.name,
-                   binding.client_index, t0, now)
-        chain.request_finished(req_id, ctx.program.name,
-                               binding.client_index, now, "ok")
+        obs.span("local", op.name, req_id, ctx.program.name,
+                 binding.client_index, t0, now)
+        obs.request_finished(req_id, ctx.program.name,
+                             binding.client_index, now, "ok")
     if blocking:
         return result
     fut = Future(label=f"{op.name}(local)")

@@ -135,9 +135,9 @@ class ORB:
         #: path in this world; empty by default (zero hot-path cost)
         self.interceptors = InterceptorChain(self.config.interceptors)
         #: request-lifecycle observer (repro.tools.observe.attach_observer):
-        #: the request state machines and the fragment courier report CDR
-        #: bytes and transfer schedules to it; its span feed arrives
-        #: through the interceptor chain
+        #: the one seam through which the request state machines, the
+        #: POA and the fragment courier report spans, request lifecycles,
+        #: CDR bytes and transfer schedules
         self.observer = None
         #: (namespace, name) -> repro.services.ReplicaGroup, created lazily
         #: on the first policy-driven bind against that name
@@ -277,7 +277,7 @@ class PardisContext:
         self.endpoint = orb.world.transport.endpoint(
             self.program.address(self.rank, PORT_ORB)
         )
-        #: req_id -> PendingRequest (client role)
+        #: req_id -> ClientRequestState (client role)
         self.pending: dict = {}
         self._binding_counter = 0
         self._bindings: dict = {}

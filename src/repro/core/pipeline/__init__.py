@@ -10,14 +10,15 @@ package instead of through private inline loops:
   server out-args, client out-args all go through it);
 * :mod:`~repro.core.pipeline.state` — explicit
   :class:`ClientRequestState` / :class:`ServerRequestState` machines
-  that replace the interleaved bodies of ``invoke()``,
-  ``PendingRequest.progress`` and ``POA._handle``;
+  that replace the interleaved bodies of ``invoke()``, its
+  reply-progress loop and ``POA._handle``;
 * :mod:`~repro.core.pipeline.interceptors` — a CORBA-style
   portable-interceptor chain (``send_request`` / ``receive_reply`` /
   ``receive_exception`` on the client, ``receive_request`` /
   ``send_reply`` on the server) with ``service_contexts`` carried on
-  the wire headers; the observability layer, deadline propagation and
-  fault injection all hang off this seam instead of inline guards.
+  the wire headers; tracing, deadline propagation and fault injection
+  all hang off this seam instead of inline guards (the request observer
+  is fed directly through ``orb.observer``).
 """
 
 from .courier import FragmentCourier, redistribute_exchange

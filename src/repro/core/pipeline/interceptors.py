@@ -39,12 +39,11 @@ point                     side   fires
 :class:`~repro.core.request.RequestHeader` and
 :class:`~repro.core.request.ReplyHeader` (GIOP's ServiceContextList).
 
-Interceptors may additionally implement the *span sink* protocol
-(``on_span`` / ``on_request_started`` / ``on_request_finished``) to
-receive the request-lifecycle phases the state machines emit; this is how
-:class:`repro.tools.observe.RequestObserver` attaches.  An empty chain
-keeps every hook site at one attribute load plus a truthiness check, so
-the hot path is unaffected until an interceptor is registered.
+The chain carries only these points.  Request-lifecycle spans go to
+the world's :class:`repro.tools.observe.RequestObserver` through
+``orb.observer``, not through the chain.  An empty chain keeps every
+hook site at one attribute load plus a truthiness check, so the hot path
+is unaffected until an interceptor is registered.
 """
 
 from __future__ import annotations
@@ -69,9 +68,6 @@ __all__ = [
 CLIENT_POINTS = ("send_request", "receive_reply", "receive_exception")
 SERVER_POINTS = ("receive_request", "send_reply", "finish_request")
 POINTS = CLIENT_POINTS + SERVER_POINTS
-
-#: span-sink protocol methods (the observability seam)
-SPAN_HOOKS = ("on_span", "on_request_started", "on_request_finished")
 
 
 @dataclass
@@ -138,9 +134,9 @@ class ServerRequestInfo:
 
 
 class RequestInterceptor:
-    """Base class: override any subset of the five points (and/or the
-    span-sink hooks).  Unoverridden points cost nothing — the chain only
-    dispatches to interceptors that actually implement a point."""
+    """Base class: override any subset of the points.  Unoverridden
+    points cost nothing — the chain only dispatches to interceptors that
+    actually implement a point."""
 
     name = "interceptor"
 
@@ -168,20 +164,6 @@ class RequestInterceptor:
         thread (fires exactly once per ``receive_request``, success and
         failure alike); raising here is swallowed."""
 
-    # -- span sinks (observability seam) -----------------------------------
-
-    def on_span(self, phase: str, op: str, req, program: str, rank: int,
-                t0: float, t1: float, nbytes: int = 0) -> None:
-        """One request-lifecycle phase completed on one thread."""
-
-    def on_request_started(self, req, op: str, program: str, rank: int,
-                           t0: float) -> None:
-        """A request entered the pipeline."""
-
-    def on_request_finished(self, req, program: str, rank: int, t1: float,
-                            status: str = "ok") -> None:
-        """A request reached a terminal status (ok/failed/oneway)."""
-
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.name!r}>"
 
@@ -194,21 +176,19 @@ def _overrides(icept: RequestInterceptor, method: str) -> bool:
 class InterceptorChain:
     """Ordered registry of interceptors with per-point dispatch lists.
 
-    Points run in registration order.  ``active`` and ``wants_spans``
-    are the two precomputed fast-path flags the state machines test on
-    the hot path.  ``finish_request_errors`` counts the exceptions
-    ``finish_request`` hooks raised (and the chain swallowed).
+    Points run in registration order.  ``active`` is the precomputed
+    fast-path flag the state machines test on the hot path.
+    ``finish_request_errors`` counts the exceptions ``finish_request``
+    hooks raised (and the chain swallowed).
     """
 
-    __slots__ = ("_interceptors", "_points", "_span_sinks",
-                 "active", "wants_spans", "finish_request_errors")
+    __slots__ = ("_interceptors", "_points", "active",
+                 "finish_request_errors")
 
     def __init__(self, interceptors=()) -> None:
         self._interceptors: list[RequestInterceptor] = []
         self._points: dict[str, tuple] = {}
-        self._span_sinks: tuple = ()
         self.active = False
-        self.wants_spans = False
         self.finish_request_errors = 0
         self._rebuild()
         for icept in interceptors:
@@ -239,12 +219,7 @@ class InterceptorChain:
             point: tuple(i for i in self._interceptors if _overrides(i, point))
             for point in POINTS
         }
-        self._span_sinks = tuple(
-            i for i in self._interceptors
-            if any(_overrides(i, h) for h in SPAN_HOOKS)
-        )
         self.active = bool(self._interceptors)
-        self.wants_spans = bool(self._span_sinks)
 
     def __len__(self) -> int:
         return len(self._interceptors)
@@ -287,23 +262,6 @@ class InterceptorChain:
                 icept.finish_request(info)
             except Exception:
                 self.finish_request_errors += 1
-
-    # -- span fan-out ------------------------------------------------------
-
-    def span(self, phase: str, op: str, req, program: str, rank: int,
-             t0: float, t1: float, nbytes: int = 0) -> None:
-        for sink in self._span_sinks:
-            sink.on_span(phase, op, req, program, rank, t0, t1, nbytes)
-
-    def request_started(self, req, op: str, program: str, rank: int,
-                        t0: float) -> None:
-        for sink in self._span_sinks:
-            sink.on_request_started(req, op, program, rank, t0)
-
-    def request_finished(self, req, program: str, rank: int, t1: float,
-                         status: str = "ok") -> None:
-        for sink in self._span_sinks:
-            sink.on_request_finished(req, program, rank, t1, status)
 
     def __repr__(self) -> str:
         names = ", ".join(i.name for i in self._interceptors)

@@ -2,7 +2,7 @@
 
 :class:`ClientRequestState` owns one invocation from marshaling to future
 resolution (it replaces the interleaved bodies of the old ``invoke()``
-and ``PendingRequest.progress``); :class:`ServerRequestState` owns one
+and its reply-progress loop); :class:`ServerRequestState` owns one
 dispatched request from header receipt to reply emission (replacing
 ``POA._handle``/``_send_results``).  Both drive fragment movement through
 the :class:`~repro.core.pipeline.courier.FragmentCourier` and run the
@@ -128,6 +128,7 @@ class ClientRequestState:
                 f"for {len(op.out_params)} out parameters"
             )
         self.chain = self.ctx.orb.interceptors
+        self.observer = self.ctx.orb.observer
         self.courier = FragmentCourier(self.ctx)
         self.state = "new"
         self.req_id = None
@@ -155,15 +156,15 @@ class ClientRequestState:
         binding = self.binding
         op = self.op
         chain = self.chain
-        spans = chain.wants_spans
+        obs = self.observer
         cfg = ctx.orb.config
         my_idx = binding.client_index
         self.req_id = req_id = binding.next_req_id()
 
-        t_marshal0 = ctx.now() if spans else 0.0
-        if spans:
-            chain.request_started(req_id, op.name, ctx.program.name, my_idx,
-                                  t_marshal0)
+        t_marshal0 = ctx.now() if obs is not None else 0.0
+        if obs is not None:
+            obs.request_started(req_id, op.name, ctx.program.name, my_idx,
+                                t_marshal0)
 
         # Partition arguments.
         named_in = dict(zip((p.name for p in op.in_params), self.in_values))
@@ -218,10 +219,10 @@ class ClientRequestState:
             service_contexts=self.info.service_contexts,
         )
 
-        t_send0 = ctx.now() if spans else 0.0
-        if spans:
-            chain.span("marshal", op.name, req_id, ctx.program.name, my_idx,
-                       t_marshal0, t_send0, nbytes=len(scalar_args))
+        t_send0 = ctx.now() if obs is not None else 0.0
+        if obs is not None:
+            obs.span("marshal", op.name, req_id, ctx.program.name, my_idx,
+                     t_marshal0, t_send0, nbytes=len(scalar_args))
 
         sent_nbytes = 0
         offload = cfg.communication_threads
@@ -247,13 +248,13 @@ class ClientRequestState:
             )
         ctx.orb.requests_sent += 1
 
-        if spans:
+        if obs is not None:
             now = ctx.now()
-            chain.span("send", op.name, req_id, ctx.program.name, my_idx,
-                       t_send0, now, nbytes=sent_nbytes)
+            obs.span("send", op.name, req_id, ctx.program.name, my_idx,
+                     t_send0, now, nbytes=sent_nbytes)
             if op.oneway:
-                chain.request_finished(req_id, ctx.program.name, my_idx,
-                                       now, "oneway")
+                obs.request_finished(req_id, ctx.program.name, my_idx,
+                                     now, "oneway")
         if op.oneway:
             self.done = True
             self.state = "done"
@@ -288,10 +289,11 @@ class ClientRequestState:
         self.done = True
         self.state = "done"
         self.error = exc
-        if chain.wants_spans:
-            chain.request_finished(self.req_id, self.ctx.program.name,
-                                   self.binding.client_index,
-                                   self.ctx.now(), "failed")
+        obs = self.observer
+        if obs is not None:
+            obs.request_finished(self.req_id, self.ctx.program.name,
+                                 self.binding.client_index,
+                                 self.ctx.now(), "failed")
         if blocking or self.op.oneway:
             raise exc
         fut = Future(label=f"{self.op.name}#{self.req_id[-1]}")
@@ -353,15 +355,14 @@ class ClientRequestState:
             return False
 
         if block:
-            chain = self.chain
-            spans = chain.wants_spans
-            t0 = self.ctx.now() if spans else 0.0
+            obs = self.observer
+            t0 = self.ctx.now() if obs is not None else 0.0
             env = ep.channel.receive(match, reason=f"reply {self.op.name}",
                                      deadline=self.deadline)
-            if spans:
-                chain.span("wait", self.op.name, self.req_id,
-                           self.ctx.program.name, self.binding.client_index,
-                           t0, self.ctx.now())
+            if obs is not None:
+                obs.span("wait", self.op.name, self.req_id,
+                         self.ctx.program.name, self.binding.client_index,
+                         t0, self.ctx.now())
             if env is None:
                 self._fail(SystemException(
                     f"{self.op.name} timed out after "
@@ -425,9 +426,8 @@ class ClientRequestState:
             raise SystemException(
                 f"unexpected fragment for {frag.param!r} of {self.op.name}"
             )
-        chain = self.chain
-        spans = chain.wants_spans
-        t0 = self.ctx.now() if spans else 0.0
+        obs = self.observer
+        t0 = self.ctx.now() if obs is not None else 0.0
         dist, storage, _ = state
         param = next(p for p in self.op.dseq_out_params
                      if p.name == frag.param)
@@ -435,10 +435,10 @@ class ClientRequestState:
             dist, self.binding.client_index, storage.owned_data,
             param.tc.element, frag)
         state[2] -= 1
-        if spans:
-            chain.span("unmarshal", self.op.name, self.req_id,
-                       self.ctx.program.name, self.binding.client_index,
-                       t0, self.ctx.now(), nbytes=len(frag.payload))
+        if obs is not None:
+            obs.span("unmarshal", self.op.name, self.req_id,
+                     self.ctx.program.name, self.binding.client_index,
+                     t0, self.ctx.now(), nbytes=len(frag.payload))
 
     def _build_exception(self, reply: ReplyHeader) -> BaseException:
         if reply.status == STATUS_USER_EXC:
@@ -472,8 +472,8 @@ class ClientRequestState:
 
     def _finish(self) -> None:
         chain = self.chain
-        spans = chain.wants_spans
-        t0 = self.ctx.now() if spans else 0.0
+        obs = self.observer
+        t0 = self.ctx.now() if obs is not None else 0.0
         specs = scalar_result_specs(self.op)
         scalars = decode_scalars(
             specs, _decoding(self.ctx, self.reply.scalar_results))
@@ -503,13 +503,13 @@ class ClientRequestState:
         self.done = True
         self.state = "done"
         self._detach()
-        if spans:
+        if obs is not None:
             now = self.ctx.now()
-            chain.span("unmarshal", self.op.name, self.req_id,
-                       self.ctx.program.name, self.binding.client_index,
-                       t0, now, nbytes=len(self.reply.scalar_results))
-            chain.request_finished(self.req_id, self.ctx.program.name,
-                                   self.binding.client_index, now, "ok")
+            obs.span("unmarshal", self.op.name, self.req_id,
+                     self.ctx.program.name, self.binding.client_index,
+                     t0, now, nbytes=len(self.reply.scalar_results))
+            obs.request_finished(self.req_id, self.ctx.program.name,
+                                 self.binding.client_index, now, "ok")
         self.result_future._resolve(self.result)
         for fut, val in zip(self.placeholders, out_values):
             fut._resolve(val)
@@ -550,10 +550,11 @@ class ClientRequestState:
         self.state = "done"
         self._detach()
         self._drain_orphaned_results()
-        if chain.wants_spans:
-            chain.request_finished(self.req_id, self.ctx.program.name,
-                                   self.binding.client_index,
-                                   self.ctx.now(), "failed")
+        obs = self.observer
+        if obs is not None:
+            obs.request_finished(self.req_id, self.ctx.program.name,
+                                 self.binding.client_index,
+                                 self.ctx.now(), "failed")
         self.result_future._fail(exc)
         for fut in self.placeholders:
             fut._fail(exc)
@@ -589,6 +590,7 @@ class ServerRequestState:
         self.ctx = poa.ctx
         self.hdr = hdr
         self.chain = self.ctx.orb.interceptors
+        self.observer = self.ctx.orb.observer
         self.courier = FragmentCourier(self.ctx)
         self.record = None
         self.op: Optional[OpDef] = None
@@ -600,8 +602,8 @@ class ServerRequestState:
         ctx = self.ctx
         hdr = self.hdr
         chain = self.chain
-        spans = chain.wants_spans
-        t0 = ctx.now() if spans else 0.0
+        obs = self.observer
+        t0 = ctx.now() if obs is not None else 0.0
         record = self.record = self.poa._lookup_record(hdr.object_name)
         if record.kind == "spmd":
             if ctx.rank == 0 and not hdr.forwarded and ctx.nprocs > 1:
@@ -620,9 +622,9 @@ class ServerRequestState:
 
         op = self.op = self.poa._resolve_op(record.iface, hdr, self.servant)
         if op is None:
-            if spans:
-                chain.span("dispatch", hdr.op, hdr.req_id, ctx.program.name,
-                           ctx.rank, t0, ctx.now())
+            if obs is not None:
+                obs.span("dispatch", hdr.op, hdr.req_id, ctx.program.name,
+                         ctx.rank, t0, ctx.now())
             self._reject(
                 SystemException(f"no operation {hdr.op!r} on {record.name!r}"),
                 wire_exc=f"no operation {hdr.op!r} on {record.name!r}",
@@ -652,40 +654,40 @@ class ServerRequestState:
         op = self.op
         info = self.info
         chain = self.chain
-        spans = chain.wants_spans
+        obs = self.observer
         if chain.active:
             try:
                 chain.receive_request(info)
             except UserException as exc:
-                if spans:
-                    chain.span("dispatch", hdr.op, hdr.req_id,
-                               ctx.program.name, ctx.rank, t0, ctx.now())
+                if obs is not None:
+                    obs.span("dispatch", hdr.op, hdr.req_id,
+                             ctx.program.name, ctx.rank, t0, ctx.now())
                 self._reject(exc, user=True, orphaned=True)
                 return
             except Exception as exc:
-                if spans:
-                    chain.span("dispatch", hdr.op, hdr.req_id,
-                               ctx.program.name, ctx.rank, t0, ctx.now())
+                if obs is not None:
+                    obs.span("dispatch", hdr.op, hdr.req_id,
+                             ctx.program.name, ctx.rank, t0, ctx.now())
                 self._reject(exc, orphaned=True)
                 return
-        if spans:
+        if obs is not None:
             # Covers the servant lookup, (on rank 0) the SPMD forward,
             # operation resolution and the receive_request interceptors.
-            chain.span("dispatch", hdr.op, hdr.req_id, ctx.program.name,
-                       ctx.rank, t0, ctx.now())
+            obs.span("dispatch", hdr.op, hdr.req_id, ctx.program.name,
+                     ctx.rank, t0, ctx.now())
 
-        t_args0 = ctx.now() if spans else 0.0
+        t_args0 = ctx.now() if obs is not None else 0.0
         try:
             args = self._collect_in_args()
         except Exception as exc:  # bad request: report, keep serving
             self._reject(exc, orphaned=True)
             return
-        if spans:
-            chain.span("recv_args", op.name, hdr.req_id, ctx.program.name,
-                       ctx.rank, t_args0, ctx.now(),
-                       nbytes=len(hdr.scalar_args))
+        if obs is not None:
+            obs.span("recv_args", op.name, hdr.req_id, ctx.program.name,
+                     ctx.rank, t_args0, ctx.now(),
+                     nbytes=len(hdr.scalar_args))
 
-        t_compute0 = ctx.now() if spans else 0.0
+        t_compute0 = ctx.now() if obs is not None else 0.0
         try:
             result = getattr(self.servant, op.name)(*args)
         except UserException as exc:
@@ -695,18 +697,18 @@ class ServerRequestState:
             self._reject(exc, respect_oneway=True)
             return
         finally:
-            if spans:
-                chain.span("compute", op.name, hdr.req_id, ctx.program.name,
-                           ctx.rank, t_compute0, ctx.now())
+            if obs is not None:
+                obs.span("compute", op.name, hdr.req_id, ctx.program.name,
+                         ctx.rank, t_compute0, ctx.now())
 
         info.result = result
         if hdr.oneway:
             return
-        t_reply0 = ctx.now() if spans else 0.0
+        t_reply0 = ctx.now() if obs is not None else 0.0
         self._send_results(result)
-        if spans:
-            chain.span("reply", op.name, hdr.req_id, ctx.program.name,
-                       ctx.rank, t_reply0, ctx.now())
+        if obs is not None:
+            obs.span("reply", op.name, hdr.req_id, ctx.program.name,
+                     ctx.rank, t_reply0, ctx.now())
 
     # -- argument collection -----------------------------------------------
 

@@ -232,11 +232,11 @@ class POA:
         ctx = self.ctx
         if hdr.dseq_args:
             self._dead_letter(hdr.req_id)
-        chain = ctx.orb.interceptors
-        if chain.wants_spans:
+        obs = ctx.orb.observer
+        if obs is not None:
             now = ctx.now()
-            chain.span("shed", hdr.op, hdr.req_id, ctx.program.name,
-                       ctx.rank, now, now)
+            obs.span("shed", hdr.op, hdr.req_id, ctx.program.name,
+                     ctx.rank, now, now)
         if hdr.oneway:
             return
         contexts = {OVERLOAD_CONTEXT: True}

@@ -18,7 +18,7 @@ Send cost model (see DESIGN.md):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Optional
 
 import numpy as np
@@ -147,11 +147,9 @@ class Transport:
         self._endpoints: dict[Address, Endpoint] = {}
         self.packets_sent = 0
         self.bytes_sent = 0
-        #: optional observer called with every delivered Packet
-        #: (see repro.tools.trace.attach_tracer)
-        self.on_send = None
-        #: additional packet observers (see repro.tools.observe); an empty
-        #: list keeps the send path at one truthiness check
+        #: callables run with every delivered Packet (see
+        #: repro.tools.trace.attach_tracer and repro.tools.observe); an
+        #: empty list keeps the send path at one truthiness check
         self.observers: list = []
         #: per-world pool the fragment courier leases payload buffers
         #: from (see repro.cdr.buffers); world-scoped so concurrent
@@ -203,8 +201,6 @@ class Transport:
         dst_ep.channel.push(pkt, arrival)
         self.packets_sent += 1
         self.bytes_sent += n
-        if self.on_send is not None:
-            self.on_send(pkt)
         if self.observers:
             for cb in self.observers:
                 cb(pkt)

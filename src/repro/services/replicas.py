@@ -279,7 +279,6 @@ def failover_invoke(binding, op, in_values, distributions):
     """
     group = binding.group
     ctx = binding.ctx
-    chain = ctx.orb.interceptors
     for attempt in range(group.max_failover_attempts):
         try:
             result = invoke(binding, op, in_values, distributions,
@@ -298,11 +297,12 @@ def failover_invoke(binding, op, in_values, distributions):
                 new_ref = group.select(ctx, binding.policy)
             if binding.client_index == 0:
                 group.failovers += 1
-            if chain.wants_spans:
+            obs = ctx.orb.observer
+            if obs is not None:
                 now = ctx.now()
-                chain.span("failover", op.name,
-                           (binding.uid, "failover", attempt),
-                           ctx.program.name, binding.client_index, now, now)
+                obs.span("failover", op.name,
+                         (binding.uid, "failover", attempt),
+                         ctx.program.name, binding.client_index, now, now)
             # Re-selecting the replica that just failed is allowed (sole
             # survivor, or SUSPECT but alive): the retry may still land.
             binding.rebind(new_ref)

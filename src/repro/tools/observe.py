@@ -27,12 +27,13 @@ courier), and — when a
 — per-node compute utilization.  One ``world.services["observer"]``
 object therefore answers "where did this request spend its time".
 
-Instrumentation is **off by default**: the observer receives the ORB's
-span feed as a *portable interceptor* (the span-sink hooks of
-``repro.core.pipeline``), so the hot paths the benchmarks measure are
-unaffected until :func:`attach_observer` registers it on the chain —
-an empty chain costs one attribute load plus a truthiness check per
-hook site.
+Instrumentation is **off by default**: the ORB reaches the observer
+through one seam, ``orb.observer``, and every emit site costs one
+attribute load plus a ``None`` test until :func:`attach_observer` sets
+it.  The observer is not an interceptor; the interceptor chain stays
+empty unless something else registers on it.  The links between the
+instruments of one world (observer, tracer, metrics registry, compute
+meter) do not depend on the order in which they are attached.
 
 When a :class:`~repro.tools.tracing.TracingInterceptor` shares the world
 (see :func:`repro.tools.tracing.attach_tracing`), every span is
@@ -58,15 +59,10 @@ import json
 from dataclasses import dataclass
 from typing import Any, Iterable, Optional
 
-from ..core.pipeline.interceptors import (
-    RequestInterceptor as RequestInterceptorBase,
-)
-from .metrics import ComputeMeter
 from .trace import DEFAULT_CAPACITY, PacketTrace, RingBuffer
 
 __all__ = [
     "Span",
-    "ObserverInterceptor",
     "RequestObserver",
     "TraceSession",
     "attach_observer",
@@ -153,7 +149,6 @@ class RequestObserver:
         self.requests_dropped = 0
         self._request_capacity = span_capacity
         self.packet_trace = PacketTrace(RingBuffer(packet_capacity))
-        self.meter: Optional[ComputeMeter] = None
         #: CDR stream bytes this world's ORB encoded and decoded
         self.cdr_bytes = {"encoded": 0, "decoded": 0}
         #: transfer-schedule lookups of this world's fragment courier
@@ -577,10 +572,12 @@ class RequestObserver:
         if len(self.packet_trace):
             lines.append("  " + self.packet_trace.summary()
                          .replace("\n", "\n  "))
-        if self.meter is not None and self.meter.busy:
+        meter = (self.orb.world.services.get("compute_meter")
+                 if self.orb is not None else None)
+        if meter is not None and meter.busy:
             elapsed = max((s.t1 for s in self.spans), default=0.0)
             if elapsed > 0:
-                lines.append("  " + self.meter.report(elapsed)
+                lines.append("  " + meter.report(elapsed)
                              .replace("\n", "\n  "))
         return "\n".join(lines)
 
@@ -590,39 +587,16 @@ class RequestObserver:
 # ---------------------------------------------------------------------------
 
 
-class ObserverInterceptor(RequestInterceptorBase):
-    """Span-sink adapter: feeds the ORB's request-lifecycle events (the
-    interceptor chain's ``on_span``/``on_request_*`` hooks) into a
-    :class:`RequestObserver`.  It implements none of the five
-    interception points, so it never perturbs request semantics."""
-
-    name = "request-observer"
-
-    def __init__(self, observer: RequestObserver) -> None:
-        self.observer = observer
-
-    def on_span(self, phase, op, req, program, rank, t0, t1,
-                nbytes=0) -> None:
-        self.observer.span(phase, op, req, program, rank, t0, t1, nbytes)
-
-    def on_request_started(self, req, op, program, rank, t0) -> None:
-        self.observer.request_started(req, op, program, rank, t0)
-
-    def on_request_finished(self, req, program, rank, t1,
-                            status="ok") -> None:
-        self.observer.request_finished(req, program, rank, t1, status)
-
-
 def attach_observer(world, label: str = "") -> RequestObserver:
     """Install a :class:`RequestObserver` on a world (before ``run()``).
 
-    Registers it as ``world.services["observer"]``, registers an
-    :class:`ObserverInterceptor` on the ORB's interceptor chain (the span
-    feed) and as ``orb.observer`` (the CDR byte and transfer-schedule
-    meter), subscribes its packet trace to the transport, and picks up a
-    previously attached :class:`ComputeMeter` if one exists.  Everything
-    it hooks belongs to ``world``: observers of other worlds in the same
-    process never see its counts.
+    Registers it as ``world.services["observer"]`` and as ``orb.observer``
+    (the ORB's one instrumentation seam: spans, request lifecycles, CDR
+    bytes and transfer schedules) and subscribes its packet trace to the
+    transport.  A :class:`~repro.tools.metrics.ComputeMeter` of the same
+    world is read when :meth:`RequestObserver.report` runs, so it may be
+    attached before or after.  Everything it hooks belongs to ``world``:
+    observers of other worlds in the same process never see its counts.
     """
     obs = RequestObserver(label=label)
     world.services["observer"] = obs
@@ -630,9 +604,7 @@ def attach_observer(world, label: str = "") -> RequestObserver:
     if orb is not None:
         obs.orb = orb
         orb.observer = obs
-        obs._interceptor = orb.register_interceptor(ObserverInterceptor(obs))
     world.transport.observers.append(obs.packet_trace)
-    obs.meter = world.services.get("compute_meter")
     obs.zero_copy = world.transport.buffer_pool.stats
     tracer = world.services.get("tracer")
     if tracer is not None:
@@ -652,9 +624,6 @@ def detach_observer(world) -> Optional[RequestObserver]:
     orb = world.services.get("orb")
     if orb is not None and orb.observer is obs:
         orb.observer = None
-    icept = getattr(obs, "_interceptor", None)
-    if orb is not None and icept is not None and icept in orb.interceptors:
-        orb.unregister_interceptor(icept)
     try:
         world.transport.observers.remove(obs.packet_trace)
     except ValueError:

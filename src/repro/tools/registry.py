@@ -358,9 +358,13 @@ def attach_metrics(world) -> MetricsRegistry:
     """Install a :class:`MetricsRegistry` on a world as
     ``world.services["metrics"]`` and wire every standard source into it
     (pull-model collectors for the native counters, push-model latency
-    histograms on a previously attached observer)."""
+    histograms on the observer).  The compute-meter and tracer
+    collectors look their source up in ``world.services`` at collection
+    time, and :func:`~repro.tools.observe.attach_observer` binds a
+    registry attached before it, so attach order does not matter."""
     reg = MetricsRegistry()
-    world.services["metrics"] = reg
+    services = world.services
+    services["metrics"] = reg
     transport = world.transport
 
     packets = reg.counter("pardis_transport_packets_total",
@@ -383,7 +387,7 @@ def attach_metrics(world) -> MetricsRegistry:
         for field, value in zc_stats.snapshot().items():
             zc.labels(counter=field).set(value)
 
-    orb = world.services.get("orb")
+    orb = services.get("orb")
     if orb is not None:
         requests = reg.counter("pardis_requests_total",
                                "invocations issued on this world",
@@ -459,29 +463,29 @@ def attach_metrics(world) -> MetricsRegistry:
                 for pid, load in group.known_loads().items():
                     replica_load.labels(object=name, program_id=pid).set(load)
 
-    meter = world.services.get("compute_meter")
-    if meter is not None:
+    @reg.register_collector
+    def _collect_meter() -> None:
+        meter = services.get("compute_meter")
+        if meter is None:
+            return
         busy = reg.gauge("pardis_compute_busy_seconds",
                          "virtual compute seconds charged per node",
                          ("host", "node"))
+        for (host, node), seconds in meter.busy.items():
+            busy.labels(host=host, node=node).set(seconds)
 
-        @reg.register_collector
-        def _collect_meter() -> None:
-            for (host, node), seconds in meter.busy.items():
-                busy.labels(host=host, node=node).set(seconds)
-
-    tracer = world.services.get("tracer")
-    if tracer is not None:
+    @reg.register_collector
+    def _collect_tracer() -> None:
+        tracer = services.get("tracer")
+        if tracer is None:
+            return
         trace_events = reg.counter("pardis_trace_events_total",
                                    "tracing interceptor event counters",
                                    ("event",))
+        for event, value in tracer.counters.items():
+            trace_events.labels(event=event).set(value)
 
-        @reg.register_collector
-        def _collect_tracer() -> None:
-            for event, value in tracer.counters.items():
-                trace_events.labels(event=event).set(value)
-
-    obs = world.services.get("observer")
+    obs = services.get("observer")
     if obs is not None:
         obs.bind_metrics(reg)
     return reg

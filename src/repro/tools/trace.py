@@ -178,7 +178,8 @@ class PacketTrace:
 
 
 def attach_tracer(transport: Transport) -> PacketTrace:
-    """Install a :class:`PacketTrace` on a transport; returns it."""
+    """Subscribe a new :class:`PacketTrace` to a transport; returns it.
+    Every trace attached to one transport records every packet."""
     trace = PacketTrace()
-    transport.on_send = trace
+    transport.observers.append(trace)
     return trace

@@ -36,11 +36,12 @@ the trace id, and every downstream hop inherits the verdict) with an
 **always-on-error** escape hatch: unsampled spans are buffered by the
 observer and promoted to the permanent store when their request fails.
 
-The interceptor implements only the interception points — none of the
-span-sink hooks — so registering it alone leaves the chain's
-``wants_spans`` fast-path flag off and the per-request span machinery
-dormant; that is what keeps the benchmark-enforced overhead budget
-(≤5 % vs the empty chain, see ``benchmarks/bench_infrastructure.py``).
+The interceptor implements only the interception points.  Spans are
+recorded by the world's observer, which the ORB feeds through
+``orb.observer`` rather than the chain, so registering tracing alone
+leaves the per-request span machinery dormant; that is what keeps the
+benchmark-enforced overhead budget (≤5 % vs the empty chain, see
+``benchmarks/bench_infrastructure.py``).
 """
 
 from __future__ import annotations

@@ -123,7 +123,7 @@ class Recorder(RequestInterceptor):
 
 def test_chain_registration_errors():
     chain = InterceptorChain()
-    assert len(chain) == 0 and not chain.active and not chain.wants_spans
+    assert len(chain) == 0 and not chain.active
     icept = RequestInterceptor()
     chain.add(icept)
     assert chain.active and icept in chain
@@ -133,19 +133,6 @@ def test_chain_registration_errors():
     assert not chain.active
     with pytest.raises(BindingError):
         chain.remove(icept)
-
-
-def test_chain_span_flag_tracks_sink_overrides():
-    class SpanSink(RequestInterceptor):
-        def on_span(self, *a, **k):
-            pass
-
-    chain = InterceptorChain([RequestInterceptor()])
-    assert chain.active and not chain.wants_spans
-    sink = chain.add(SpanSink())
-    assert chain.wants_spans
-    chain.remove(sink)
-    assert not chain.wants_spans
 
 
 def test_points_fire_in_registration_order(mod):

@@ -322,7 +322,8 @@ class TestBoundedStores:
         obs.span("compute", "op", "r", "prog", 0, 0.0, 1.0)
         obs.orb = SimpleNamespace(
             dead_fragments=2, dead_result_fragments=1,
-            interceptors=SimpleNamespace(finish_request_errors=0))
+            interceptors=SimpleNamespace(finish_request_errors=0),
+            world=SimpleNamespace(services={}))
         assert ("dead-lettered: 2 argument fragments, 1 result fragments"
                 in obs.report())
 
