@@ -161,3 +161,32 @@ def test_zero_copy_fragment_roundtrip_speedup(benchmark, nbytes):
         f"zero-copy round trip only {speedup:.2f}x faster at {nbytes} bytes "
         f"(fast {fast_s * 1e6:.1f} us, slow {slow_s * 1e6:.1f} us)"
     )
+
+
+@pytest.mark.benchmark(group="transfer")
+@pytest.mark.parametrize("kind", ["BLOCK", "CYCLIC"])
+def test_transfer_extract_insert(benchmark, kind):
+    """One 4->3 redistribution of a 256-row matrix held as a list of rows
+    (perfbench ``dseq_matrix``'s shape): every plan item's extract plus
+    insert, no CDR.  BLOCK moves each item as one slice; CYCLIC walks
+    each item's cached local index arrays."""
+    from repro.core import transfer
+    from repro.core.distribution import Distribution
+
+    n = 256
+    src = Distribution.of_kind(kind, n, 4)
+    dst = Distribution.of_kind(kind, n, 3)
+    rows = [np.full(n, float(g)) for g in range(n)]
+    src_locals = [[rows[g] for g in src.global_indices(r)]
+                  for r in range(src.p)]
+    dst_locals = [[None] * dst.local_size(r) for r in range(dst.p)]
+
+    def move():
+        for item in transfer.cached_schedule(src, dst):
+            values = transfer.extract(item, src_locals[item.src_rank])
+            transfer.insert(item, dst_locals[item.dst_rank], values)
+
+    benchmark(move)
+    for r in range(dst.p):
+        assert [row[0] for row in dst_locals[r]] == \
+            [float(g) for g in dst.global_indices(r)]

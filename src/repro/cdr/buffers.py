@@ -128,7 +128,11 @@ class PooledBuffer:
         if self.released:
             return False
         self.released = True
-        self.pool._give_back(self)
+        pool = self.pool
+        pool.stats.returns += 1
+        free = pool._free.setdefault(len(self.data), [])
+        if len(free) < pool.max_free_per_bucket:
+            free.append((self.data, self.views))
         return True
 
     def __repr__(self) -> str:
@@ -170,12 +174,6 @@ class BufferPool:
             stats.pool_misses += 1
             data, views = bytearray(cap), {}
         return PooledBuffer(self, data, nbytes, views)
-
-    def _give_back(self, buf: "PooledBuffer") -> None:
-        self.stats.returns += 1
-        free = self._free.setdefault(len(buf.data), [])
-        if len(free) < self.max_free_per_bucket:
-            free.append((buf.data, buf.views))
 
     def free_buffers(self) -> int:
         return sum(len(v) for v in self._free.values())

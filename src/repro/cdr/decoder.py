@@ -43,15 +43,20 @@ class CdrDecoder:
     def align(self, n: int) -> None:
         self._pos += (-self._pos) % n
 
-    def _take(self, n: int) -> memoryview:
-        if self._pos + n > len(self._data):
+    def _skip(self, n: int) -> int:
+        """Step over the next ``n`` bytes; returns the offset they start at."""
+        pos = self._pos
+        if pos + n > len(self._data):
             raise MarshalError(
-                f"buffer underrun: need {n} bytes at offset {self._pos}, "
+                f"buffer underrun: need {n} bytes at offset {pos}, "
                 f"only {self.remaining} remain"
             )
-        chunk = self._data[self._pos:self._pos + n]
-        self._pos += n
-        return chunk
+        self._pos = pos + n
+        return pos
+
+    def _take(self, n: int) -> memoryview:
+        pos = self._skip(n)
+        return self._data[pos:pos + n]
 
     def get_primitive(self, tc: PrimitiveTC) -> Any:
         self.align(tc.size)
@@ -64,7 +69,7 @@ class CdrDecoder:
 
     def get_ulong(self) -> int:
         self.align(4)
-        return _ULONG.unpack(self._take(4))[0]
+        return _ULONG.unpack_from(self._data, self._skip(4))[0]
 
     def get_string(self) -> str:
         n = self.get_ulong()
@@ -76,10 +81,13 @@ class CdrDecoder:
         return bytes(raw[:-1]).decode("utf-8")
 
     def get_bulk(self, element: PrimitiveTC) -> np.ndarray:
+        """One numeric run (see ``CdrEncoder.put_bulk``), copied out.
+        Flat numeric sequences and every row of a nested one are read
+        here."""
         n = self.get_ulong()
         self.align(element.size)
-        raw = self._take(n * element.size)
-        return np.frombuffer(raw, dtype=element.dtype).copy()
+        start = self._skip(n * element.size)
+        return np.frombuffer(self._data, element.dtype, n, start).copy()
 
     # -- typecode-driven -----------------------------------------------------------
 
@@ -163,15 +171,25 @@ class CdrDecoder:
         return walk(tc.dims)
 
     def _decode_sequence(self, tc: SequenceTC) -> Any:
-        if is_numeric_primitive(tc.element):
-            arr = self.get_bulk(tc.element)
-            if tc.bound is not None and arr.size > tc.bound:
-                raise MarshalError(f"sequence of {arr.size} exceeds bound {tc.bound}")
-            return arr
+        element = tc.element
+        if is_numeric_primitive(element):
+            return _checked(tc, self.get_bulk(element))
         n = self.get_ulong()
         if tc.bound is not None and n > tc.bound:
             raise MarshalError(f"sequence of {n} exceeds bound {tc.bound}")
-        return [self.decode(tc.element) for _ in range(n)]
+        if isinstance(element, SequenceTC) and is_numeric_primitive(element.element):
+            # Rows of numbers come straight from the numeric-run reader.
+            numbers = element.element
+            return [_checked(element, self.get_bulk(numbers))
+                    for _ in range(n)]
+        return [self.decode(element) for _ in range(n)]
+
+
+def _checked(tc: SequenceTC, arr: np.ndarray) -> np.ndarray:
+    """A decoded numeric run, checked against ``tc``'s bound."""
+    if tc.bound is not None and arr.size > tc.bound:
+        raise MarshalError(f"sequence of {arr.size} exceeds bound {tc.bound}")
+    return arr
 
 
 def decode_bulk_payload(element: PrimitiveTC, payload) -> np.ndarray:

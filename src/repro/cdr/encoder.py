@@ -7,7 +7,9 @@ enums travel as ``ulong``.  Byte order is fixed little-endian (a real GIOP
 stream carries a byte-order flag; a single simulation never mixes orders).
 
 Bulk numeric sequences take a numpy fast path: one alignment pad, one
-length word, one contiguous buffer copy.
+length word, one contiguous buffer copy.  Each row of a nested numeric
+sequence (``sequence<sequence<double>>`` and the like) is written the
+same way, straight from the outer sequence's loop.
 """
 
 from __future__ import annotations
@@ -50,6 +52,10 @@ SCALAR_CODECS = {
                        ("ulonglong", "Q"), ("float", "f"), ("double", "d"))
 }
 _ULONG = SCALAR_CODECS["ulong"]
+_PAD = bytes(8)
+#: a numeric run's header by its size: the count, then the pad that
+#: aligns an 8-byte element
+_HEADERS = {4: _ULONG, 8: struct.Struct("<I4x")}
 
 
 class CdrEncoder:
@@ -107,13 +113,18 @@ class CdrEncoder:
         self._buf.append(0)
 
     def put_bulk(self, element: PrimitiveTC, values: Any) -> None:
-        """Numpy fast path: length prefix + contiguous element buffer."""
+        """One numeric run: the ``ulong`` count, the pad to the element's
+        alignment, and the elements in one copy.  Flat numeric sequences
+        and every row of a nested one are written here."""
         arr = np.ascontiguousarray(values, dtype=element.dtype)
         if arr.ndim != 1:
             raise MarshalError(f"bulk sequence must be 1-D, got shape {arr.shape}")
-        self.put_ulong(arr.size)
-        self.align(element.size)
-        self._buf.extend(arr.tobytes())
+        buf = self._buf
+        pad = (-len(buf)) % 4
+        after = len(buf) + pad + 4               # where the count ends
+        buf += (_PAD[:pad] + _ULONG.pack(arr.size)
+                + _PAD[:(-after) % element.size])
+        buf += arr.tobytes()
 
     # -- typecode-driven -----------------------------------------------------------
 
@@ -236,31 +247,46 @@ class CdrEncoder:
         self.encode(arm[1], arm_value)
 
     def _encode_sequence(self, tc: SequenceTC, value: Any) -> None:
-        try:
-            n = len(value)
-        except TypeError:
-            raise MarshalError(
-                f"expected a sized sequence, got {type(value).__name__}"
-            ) from None
-        if tc.bound is not None and n > tc.bound:
-            raise MarshalError(f"sequence of {n} exceeds bound {tc.bound}")
+        n = _checked_len(tc, value)
         # The bulk path is only valid for numeric primitive elements: an
         # ndarray handed to a sequence-of-structs (or similar) must go
         # element-wise so a wrong element type raises MarshalError.
-        if is_numeric_primitive(tc.element) and not isinstance(value, (str, bytes)):
-            self.put_bulk(tc.element, value)
+        element = tc.element
+        if is_numeric_primitive(element) and not isinstance(value, (str, bytes)):
+            self.put_bulk(element, value)
             return
         self.put_ulong(n)
+        if isinstance(element, SequenceTC) and is_numeric_primitive(element.element):
+            # Rows of numbers go straight to the numeric-run writer; a
+            # str/bytes row goes element-wise, as it would on its own.
+            numbers = element.element
+            for row in value:
+                if isinstance(row, (str, bytes)):
+                    self._encode_sequence(element, row)
+                else:
+                    _checked_len(element, row)
+                    self.put_bulk(numbers, row)
+            return
         for item in value:
-            self.encode(tc.element, item)
+            self.encode(element, item)
+
+
+def _checked_len(tc: SequenceTC, value: Any) -> int:
+    """Length of a sequence value, checked against ``tc``'s bound."""
+    try:
+        n = len(value)
+    except TypeError:
+        raise MarshalError(
+            f"expected a sized sequence, got {type(value).__name__}"
+        ) from None
+    if tc.bound is not None and n > tc.bound:
+        raise MarshalError(f"sequence of {n} exceeds bound {tc.bound}")
+    return n
 
 
 def encode(tc: TypeCode, value: Any) -> bytes:
     """One-shot encode."""
     return CdrEncoder().encode(tc, value).getvalue()
-
-
-_PAD4 = b"\0\0\0\0"
 
 
 def _make_views(views: dict, element: PrimitiveTC, data, header: int):
@@ -296,9 +322,7 @@ def encode_bulk_payload(element: PrimitiveTC, values, pool):
     total = header + n * size
     buf = pool.acquire(total)
     data = buf.data
-    _ULONG.pack_into(data, 0, n)
-    if header > 4:
-        data[4:header] = _PAD4[:header - 4]
+    _HEADERS[header].pack_into(data, 0, n)
     pair = buf.views.get(element.name)
     if pair is None:
         pair = _make_views(buf.views, element, data, header)

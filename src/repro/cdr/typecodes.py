@@ -9,6 +9,7 @@ build them directly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Optional
 
 import numpy as np
@@ -39,7 +40,7 @@ class PrimitiveTC(TypeCode):
     def kind(self) -> str:  # type: ignore[override]
         return self.name
 
-    @property
+    @cached_property
     def dtype(self) -> np.dtype:
         return np.dtype(self.fmt)
 

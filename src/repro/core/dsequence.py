@@ -106,9 +106,6 @@ class DistributedSequence:
     def distribution(self) -> Distribution:
         return self.dist
 
-    def is_local(self, index: int) -> bool:
-        return self.dist.owner_of(index) == self.rank
-
     def __getitem__(self, index: int) -> Any:
         """Location-transparent element access.
 

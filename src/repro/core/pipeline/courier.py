@@ -95,16 +95,17 @@ def _schedule(observer, src_dist: Distribution, dst_dist: Distribution):
     return sched
 
 
-def _insert(frag: Fragment, element: TypeCode, dist: Distribution,
-            rank: int, local_data, pool, observer) -> None:
-    """Decode one fragment into local storage, then return its pooled
+def _insert(frag: Fragment, element: TypeCode, incoming: dict, local_data,
+            pool, observer) -> None:
+    """Decode one fragment into local storage at the places of its plan
+    item (``incoming`` maps source rank to item), then return its pooled
     payload (also on decode/insert failure)."""
     try:
+        item = incoming[frag.src_rank]
         values = fragment_values(element, frag.payload, pool)
         if observer is not None:
             observer.on_decode(len(frag.payload))
-        _transfer.insert(dist, rank, local_data, tuple(frag.intervals),
-                         values)
+        _transfer.insert(item, local_data, values)
     finally:
         release_fragment(frag)
 
@@ -134,8 +135,7 @@ class FragmentCourier:
         for item in sched:
             if item.src_rank != rank:
                 continue
-            values = _transfer.extract(src_dist, rank, local_data,
-                                       item.intervals)
+            values = _transfer.extract(item, local_data)
             payload = fragment_payload(element, values, pool)
             if observer is not None:
                 observer.on_encode(len(payload))
@@ -149,16 +149,18 @@ class FragmentCourier:
     # -- receiving ---------------------------------------------------------
 
     def expected_fragments(self, src_dist: Distribution,
-                           dst_dist: Distribution, rank: int) -> int:
-        """How many fragments of ``src_dist -> dst_dist`` target ``rank``."""
+                           dst_dist: Distribution, rank: int) -> dict:
+        """The plan items of ``src_dist -> dst_dist`` that target ``rank``,
+        keyed by source rank: one fragment is expected from each."""
         sched = _schedule(self.ctx.orb.observer, src_dist, dst_dist)
-        return sum(1 for t in sched if t.dst_rank == rank)
+        return {t.src_rank: t for t in sched if t.dst_rank == rank}
 
-    def receive_fragments(self, *, dist: Distribution, rank: int, local_data,
-                          element: TypeCode, req_id, param: str,
-                          expected: int, tag: int, reason: str) -> None:
-        """Blocking receive/insert loop: collect exactly ``expected``
-        fragments of ``param`` and insert them by global index."""
+    def receive_fragments(self, *, local_data, element: TypeCode, req_id,
+                          param: str, expected: dict, tag: int,
+                          reason: str) -> None:
+        """Blocking receive/insert loop: collect one fragment of ``param``
+        per item of ``expected`` (see :meth:`expected_fragments`) and
+        insert each at its item's places."""
         channel = self.ctx.endpoint.channel
 
         def match(env):
@@ -166,15 +168,16 @@ class FragmentCourier:
             return (pkt.tag == tag and pkt.body.req_id == req_id
                     and pkt.body.param == param)
 
-        for _ in range(expected):
+        for _ in range(len(expected)):
             frag = channel.receive(match, reason=reason).payload.body
-            self.insert_fragment(dist, rank, local_data, element, frag)
+            self.insert_fragment(expected, local_data, element, frag)
 
-    def insert_fragment(self, dist: Distribution, rank: int, local_data,
-                        element: TypeCode, frag: Fragment) -> None:
-        """Insert one received fragment into local storage, then return
-        its pooled payload (also on decode/insert failure)."""
-        _insert(frag, element, dist, rank, local_data,
+    def insert_fragment(self, expected: dict, local_data, element: TypeCode,
+                        frag: Fragment) -> None:
+        """Insert one received fragment into local storage at the places
+        of its item in ``expected``, then return its pooled payload (also
+        on decode/insert failure)."""
+        _insert(frag, element, expected, local_data,
                 self.transport.buffer_pool, self.ctx.orb.observer)
 
 
@@ -199,7 +202,7 @@ def redistribute_exchange(element: TypeCode, src_dist: Distribution,
     sched = _schedule(observer, src_dist, dst_dist)
     tag = _next_tag(rts)
     for item in _transfer.outgoing(sched, rank):
-        values = _transfer.extract(src_dist, rank, src_data, item.intervals)
+        values = _transfer.extract(item, src_data)
         payload = fragment_payload(element, values, pool)
         if observer is not None:
             observer.on_encode(len(payload))
@@ -209,8 +212,8 @@ def redistribute_exchange(element: TypeCode, src_dist: Distribution,
                           Fragment(tag, "", rank, item.intervals, payload),
                           tag, nbytes=len(payload))
     for item in _transfer.local_items(sched, rank):
-        values = _transfer.extract(src_dist, rank, src_data, item.intervals)
-        _transfer.insert(dst_dist, rank, dst_data, item.intervals, values)
-    for _ in range(len(_transfer.incoming(sched, rank))):
-        _insert(rts.recv(tag=tag).payload, element, dst_dist, rank,
-                dst_data, pool, observer)
+        _transfer.insert(item, dst_data, _transfer.extract(item, src_data))
+    incoming = {t.src_rank: t for t in _transfer.incoming(sched, rank)}
+    for _ in range(len(incoming)):
+        _insert(rts.recv(tag=tag).payload, element, incoming, dst_data,
+                pool, observer)

@@ -417,7 +417,7 @@ class ClientRequestState:
                 server_dist, client_dist, my_idx)
             storage = DistributedSequence(param.tc.element, client_dist,
                                           my_idx)
-            self._out_state[param.name] = [client_dist, storage, expected]
+            self._out_state[param.name] = [expected, storage, len(expected)]
         self.state = "collecting"
 
     def _on_fragment(self, frag) -> None:
@@ -428,12 +428,11 @@ class ClientRequestState:
             )
         obs = self.observer
         t0 = self.ctx.now() if obs is not None else 0.0
-        dist, storage, _ = state
+        expected, storage, _ = state
         param = next(p for p in self.op.dseq_out_params
                      if p.name == frag.param)
         self.courier.insert_fragment(
-            dist, self.binding.client_index, storage.owned_data,
-            param.tc.element, frag)
+            expected, storage.owned_data, param.tc.element, frag)
         state[2] -= 1
         if obs is not None:
             obs.span("unmarshal", self.op.name, self.req_id,
@@ -728,7 +727,6 @@ class ServerRequestState:
             storage = DistributedSequence(param.tc.element, server_dist,
                                           ctx.rank)
             self.courier.receive_fragments(
-                dist=server_dist, rank=ctx.rank,
                 local_data=storage.owned_data, element=param.tc.element,
                 req_id=hdr.req_id, param=param.name,
                 expected=self.courier.expected_fragments(

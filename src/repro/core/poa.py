@@ -303,7 +303,3 @@ class POA:
                 break
             release_fragment(env.payload.body)
             self.ctx.orb.dead_fragments += 1
-
-
-def ep_addr(ctx):
-    return ctx.endpoint.address

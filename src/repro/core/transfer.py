@@ -1,4 +1,4 @@
-"""Transfer schedules between distributions.
+"""Transfer plans between distributions.
 
 "Knowledge of distribution allows the ORB to efficiently transfer
 arguments between the client and server" [KG97]: given the source and
@@ -7,28 +7,52 @@ distributed argument, the ORB computes which global index ranges each
 source thread must ship to each destination thread, and the threads
 exchange exactly those fragments **directly**, in parallel — no funneling
 through a single node (the ablation benchmark quantifies the difference).
+
+The plan.  :func:`schedule` returns one :class:`TransferItem` per
+(source rank, destination rank) pair that shares elements.  Besides the
+global intervals, an item carries where those elements sit in each side's
+local storage, as ``(offset, length)`` runs with neighbours coalesced.
+The runs depend on the two layouts alone, so they are computed once per
+plan, not once per fragment.  Between contiguous layouts (BLOCK,
+TEMPLATE, CONCENTRATED, row blocks) every item has one run per side, and
+:func:`extract` and :func:`insert` move the fragment as one slice,
+``local[offset:offset + length]``, for ndarray and list storage alike.  An
+item with several runs (a CYCLIC side) builds its local index array on
+first use and keeps it.
+
+The plan cache.  :func:`cached_schedule` memoizes plans in a process-wide
+dict keyed by the two layouts, with bounded FIFO eviction.  It stays
+process-wide on purpose: it is a bounded memo of a pure function, not a
+switch that changes behaviour, so the aim of having no process globals
+does not apply to it.  Two worlds in one process share plans without
+seeing each other's state: a hit and a miss return equal plans, and only
+host time differs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .distribution import Distribution, Interval
 
+#: ``(offset, length)`` of a contiguous stretch of a rank's local storage
+Run = tuple[int, int]
+
 
 @dataclass(frozen=True)
 class TransferItem:
-    """One point-to-point fragment of a schedule."""
+    """One point-to-point fragment of a plan."""
 
     src_rank: int
     dst_rank: int
     intervals: tuple[Interval, ...]   # global index ranges, sorted
-
-    @property
-    def size(self) -> int:
-        return sum(b - a for a, b in self.intervals)
+    src_runs: tuple[Run, ...]         # their places in the source's storage
+    dst_runs: tuple[Run, ...]         # ... and in the destination's
+    size: int
+    #: local index arrays of multi-run sides, built on first use
+    _index: dict = field(default_factory=dict, compare=False, repr=False)
 
 
 def _intersect(a: tuple[Interval, ...], b: tuple[Interval, ...]) -> tuple[Interval, ...]:
@@ -47,8 +71,27 @@ def _intersect(a: tuple[Interval, ...], b: tuple[Interval, ...]) -> tuple[Interv
     return tuple(out)
 
 
+def _local_runs(owned: tuple[Interval, ...],
+                intervals: tuple[Interval, ...]) -> tuple[Run, ...]:
+    """Where the global ``intervals`` (sorted, each inside one of the
+    rank's ``owned`` intervals) sit in the rank's local storage, as
+    coalesced ``(offset, length)`` runs."""
+    runs: list[Run] = []
+    j = base = 0                       # owned[j] starts at local ``base``
+    for a, b in intervals:
+        while owned[j][1] <= a:
+            base += owned[j][1] - owned[j][0]
+            j += 1
+        off = base + a - owned[j][0]
+        if runs and runs[-1][0] + runs[-1][1] == off:
+            runs[-1] = (runs[-1][0], runs[-1][1] + b - a)
+        else:
+            runs.append((off, b - a))
+    return tuple(runs)
+
+
 def schedule(src: Distribution, dst: Distribution) -> list[TransferItem]:
-    """All fragments needed to convert data laid out as ``src`` into ``dst``.
+    """The plan that converts data laid out as ``src`` into ``dst``.
 
     Raises ``ValueError`` when the global lengths differ.  Fragments where
     source and destination rank coincide are included (they are applied
@@ -64,17 +107,21 @@ def schedule(src: Distribution, dst: Distribution) -> list[TransferItem]:
         if not s_ivs:
             continue
         for d in range(dst.p):
-            common = _intersect(s_ivs, dst.intervals(d))
+            d_ivs = dst.intervals(d)
+            common = _intersect(s_ivs, d_ivs)
             if common:
-                items.append(TransferItem(s, d, common))
+                items.append(TransferItem(
+                    s, d, common, _local_runs(s_ivs, common),
+                    _local_runs(d_ivs, common),
+                    sum(b - a for a, b in common)))
     return items
 
 
-#: Memoized schedules keyed by the (kind, n, p, parts) identity of both
-#: distributions.  The request path recomputes identical schedules for
-#: every invocation of the same operation; the cache turns that into one
-#: dict lookup.  Bounded FIFO eviction keeps it from growing with the
-#: number of distinct layouts, not the number of requests.
+#: Memoized plans keyed by the (kind, n, p, parts) identity of both
+#: distributions.  The request path needs the same plan for every
+#: invocation of the same operation; the cache turns that into one dict
+#: lookup.  Bounded FIFO eviction keeps it from growing with the number
+#: of distinct layouts, not the number of requests.
 _SCHEDULE_CACHE: dict[tuple, list[TransferItem]] = {}
 _SCHEDULE_CACHE_MAX = 512
 
@@ -84,7 +131,7 @@ def _dist_key(d: Distribution) -> tuple:
 
 
 def cached_schedule(src: Distribution, dst: Distribution) -> list[TransferItem]:
-    """Memoizing :func:`schedule`.  Returns a shared list — callers must
+    """Memoizing :func:`schedule`.  Returns a shared plan — callers must
     not mutate it."""
     key = (_dist_key(src), _dist_key(dst))
     items = _SCHEDULE_CACHE.get(key)
@@ -116,57 +163,64 @@ def local_items(sched: list[TransferItem], rank: int) -> list[TransferItem]:
 # ---------------------------------------------------------------------------
 
 
-def _interval_indices(intervals) -> np.ndarray:
-    """Concatenated global indices of a sorted interval list (vectorized:
+def _run_indices(runs: tuple[Run, ...]) -> np.ndarray:
+    """Concatenated local offsets of ``(offset, length)`` runs (vectorized:
     no Python-level per-element loop, which matters for cyclic layouts
-    whose schedules contain tens of thousands of unit intervals)."""
-    ivs = np.asarray(intervals, dtype=np.int64).reshape(-1, 2)
-    if not len(ivs):
-        return np.zeros(0, dtype=np.int64)
-    lens = ivs[:, 1] - ivs[:, 0]
+    whose items hold tens of thousands of unit runs)."""
+    rs = np.asarray(runs, dtype=np.int64).reshape(-1, 2)
+    lens = rs[:, 1]
     total = int(lens.sum())
     if total == 0:
         return np.zeros(0, dtype=np.int64)
     cum = np.concatenate(([0], np.cumsum(lens)[:-1]))
     within = np.arange(total, dtype=np.int64) - np.repeat(cum, lens)
-    return np.repeat(ivs[:, 0], lens) + within
+    return np.repeat(rs[:, 0], lens) + within
 
 
-def _local_index_map(dist: Distribution, rank: int,
-                     gidx: np.ndarray) -> np.ndarray:
-    """Map global indices (all owned by ``rank``) to local storage offsets
-    via binary search over the rank's interval starts."""
-    own = np.asarray(dist.intervals(rank), dtype=np.int64).reshape(-1, 2)
-    starts = own[:, 0]
-    lens = own[:, 1] - own[:, 0]
-    cum = np.concatenate(([0], np.cumsum(lens)[:-1]))
-    j = np.searchsorted(starts, gidx, side="right") - 1
-    return cum[j] + (gidx - starts[j])
+def _index(item: TransferItem, side: str) -> np.ndarray:
+    """The local index array of one side of a multi-run item, built on
+    first use and kept on the item."""
+    idx = item._index.get(side)
+    if idx is None:
+        runs = item.src_runs if side == "src" else item.dst_runs
+        idx = item._index[side] = _run_indices(runs)
+    return idx
 
 
-def extract(dist: Distribution, rank: int, local_data,
-            intervals: tuple[Interval, ...]):
-    """Pull the elements of global ``intervals`` out of ``rank``'s local
-    storage (numpy array or list, in distribution storage order)."""
-    gidx = _interval_indices(intervals)
-    if not len(gidx):
-        return local_data[:0] if isinstance(local_data, np.ndarray) else []
-    lidx = _local_index_map(dist, rank, gidx)
+def extract(item: TransferItem, local_data):
+    """The elements ``item`` ships, pulled out of its source rank's local
+    storage (numpy array or list, in distribution storage order).
+
+    A single run is one slice: a view of an ndarray, a shallow copy of a
+    list."""
+    runs = item.src_runs
+    if len(runs) == 1:
+        off, n = runs[0]
+        return local_data[off:off + n]
+    idx = _index(item, "src")
     if isinstance(local_data, np.ndarray):
-        return local_data[lidx]
-    return [local_data[i] for i in lidx]
+        return local_data[idx]
+    return [local_data[i] for i in idx]
 
 
-def insert(dist: Distribution, rank: int, local_data,
-           intervals: tuple[Interval, ...], values) -> None:
-    """Write fragment ``values`` (ordered by global index) into ``rank``'s
-    local storage at the positions of ``intervals``."""
-    gidx = _interval_indices(intervals)
-    if not len(gidx):
+def insert(item: TransferItem, local_data, values) -> None:
+    """Write fragment ``values`` (ordered by global index) into the
+    destination rank's local storage at the places of ``item``.
+
+    ``values`` must hold exactly ``item.size`` elements; anything else
+    raises ``ValueError`` and leaves list storage its old length."""
+    if len(values) != item.size:
+        raise ValueError(
+            f"fragment of {len(values)} elements for {item.size} places"
+        )
+    runs = item.dst_runs
+    if len(runs) == 1:
+        off, n = runs[0]
+        local_data[off:off + n] = values
         return
-    lidx = _local_index_map(dist, rank, gidx)
+    idx = _index(item, "dst")
     if isinstance(local_data, np.ndarray):
-        local_data[lidx] = np.asarray(values)[:len(lidx)]
+        local_data[idx] = values
     else:
-        for k, i in enumerate(lidx):
-            local_data[i] = values[k]
+        for i, v in zip(idx, values):
+            local_data[i] = v

@@ -366,11 +366,14 @@ class SimKernel:
                 self._teardown()
 
     def _teardown(self) -> None:
-        """Kill every still-live simulated thread and join its OS thread."""
+        """Kill every still-live simulated thread and join its OS thread.
+
+        One thread at a time, in spawn order: each killed thread runs its
+        ``finally`` blocks alone, so their side effects happen in the
+        same order on every run."""
         self._finished = True
         for t in self._threads:
             if t.state not in _FINISHED:
                 t._kill = True
                 t._go.release()
-        for t in self._threads:
             t._os_thread.join(timeout=5.0)

@@ -23,9 +23,6 @@ class SimLock:
         self._owner: Optional[SimThread] = None
         self._waiters: deque[SimThread] = deque()
 
-    def locked(self) -> bool:
-        return self._owner is not None
-
     def acquire(self) -> None:
         th = self.kernel.current()
         if self._owner is th:

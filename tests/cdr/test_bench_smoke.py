@@ -57,3 +57,8 @@ def test_records_smoke(bench_mod):
 
 def test_fast_path_smoke(bench_mod):
     bench_mod.test_bulk_fast_path_speedup(_OneShotBenchmark())
+
+
+@pytest.mark.parametrize("kind", ["BLOCK", "CYCLIC"])
+def test_transfer_smoke(bench_mod, kind):
+    bench_mod.test_transfer_extract_insert(_OneShotBenchmark(), kind)

@@ -423,6 +423,27 @@ def test_daemons_killed_when_last_non_daemon_finishes():
     assert not _sim_os_threads(k)
 
 
+def test_teardown_unwinds_killed_threads_in_spawn_order():
+    def one_run():
+        k = SimKernel()
+        order = []
+
+        def server(name):
+            try:
+                k.block("serving")
+            finally:
+                order.append(name)
+
+        for name in ("a", "b", "c", "d"):
+            k.spawn(server, name, name=name, daemon=True)
+        k.spawn(lambda: k.advance(1.0), name="client")
+        k.run()
+        assert not _sim_os_threads(k)
+        return tuple(order)
+
+    assert {one_run() for _ in range(40)} == {("a", "b", "c", "d")}
+
+
 def test_only_daemons_returns_immediately():
     k = SimKernel()
     d = k.spawn(lambda: k.advance(1.0), name="daemon", daemon=True)
