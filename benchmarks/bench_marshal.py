@@ -163,6 +163,38 @@ def test_zero_copy_fragment_roundtrip_speedup(benchmark, nbytes):
     )
 
 
+#: rows per nested fragment of a 4->3 BLOCK redistribution of 256 rows
+#: (perfbench ``dseq_matrix``): 0->0, 1->0, 1->1, 2->1, 2->2, 3->2
+MATRIX_FRAGMENT_ROWS = (64, 22, 42, 43, 21, 64)
+
+
+@pytest.mark.benchmark(group="marshal-nested")
+def test_nested_fragment_roundtrip(benchmark, ncols=256):
+    """The six nested fragments of one ``dseq_matrix`` request
+    (``sequence<double>`` rows of 256 doubles) through the courier's
+    payload encode and decode: one rows writer into an exact-size
+    buffer, one block copy per fragment on the way back."""
+    from repro.cdr import BufferPool
+    from repro.core.pipeline.courier import fragment_payload, fragment_values
+
+    row = SequenceTC(TC_DOUBLE)
+    rng = np.random.default_rng(0)
+    fragments = [[rng.random(ncols) for _ in range(k)]
+                 for k in MATRIX_FRAGMENT_ROWS]
+    pool = BufferPool()
+
+    def roundtrip():
+        return [fragment_values(row, fragment_payload(row, rows, pool), pool)
+                for rows in fragments]
+
+    out = benchmark(roundtrip)
+    for got, rows in zip(out, fragments):
+        np.testing.assert_array_equal(np.asarray(got), np.asarray(rows))
+    assert pool.stats.borrows == 0
+    benchmark.extra_info["wire_bytes"] = sum(
+        len(fragment_payload(row, rows, pool)) for rows in fragments)
+
+
 @pytest.mark.benchmark(group="transfer")
 @pytest.mark.parametrize("kind", ["BLOCK", "CYCLIC"])
 def test_transfer_extract_insert(benchmark, kind):

@@ -48,9 +48,12 @@ class ZeroCopyStats:
     ``fast_encodes``/``fast_decodes`` count fragments of numeric elements,
     which always travel as pooled bulk payloads;
     ``fallback_encodes``/``fallback_decodes`` count fragments of every
-    other element type, which take the element-wise CDR stream.  ``borrows``/``returns`` track lease
-    balance — they must match once all in-flight fragments are consumed,
-    which is what the exception-path regression tests assert.
+    other element type, which lease nothing.  Nested numeric fragments
+    (rows of numbers) count as fallback too: they are written into an
+    exact-size ``bytearray`` by the CDR rows writer.  ``borrows``/
+    ``returns`` track lease balance — they must match once all in-flight
+    fragments are consumed, which is what the exception-path regression
+    tests assert.
     """
 
     __slots__ = ("fast_encodes", "fast_decodes", "fallback_encodes",

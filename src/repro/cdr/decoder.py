@@ -12,6 +12,7 @@ from .typecodes import (
     ArrayTC,
     ObjectRefTC,
     TC_BOOLEAN as PRIM_BOOL,
+    TC_ULONG,
     DSequenceTC,
     EnumTC,
     PrimitiveTC,
@@ -21,6 +22,7 @@ from .typecodes import (
     TypeCode,
     UnionTC,
     is_numeric_primitive,
+    is_numeric_rows,
 )
 
 
@@ -82,12 +84,63 @@ class CdrDecoder:
 
     def get_bulk(self, element: PrimitiveTC) -> np.ndarray:
         """One numeric run (see ``CdrEncoder.put_bulk``), copied out.
-        Flat numeric sequences and every row of a nested one are read
-        here."""
+        Flat numeric sequences are read here."""
         n = self.get_ulong()
         self.align(element.size)
         start = self._skip(n * element.size)
         return np.frombuffer(self._data, element.dtype, n, start).copy()
+
+    def get_rows(self, row_tc: SequenceTC, k: int) -> list:
+        """The ``k`` rows of a nested numeric sequence (its count already
+        read), each a writable 1-D ndarray that never aliases the stream.
+
+        Row 0 is read as one numeric run.  When rows 1.. fit at the
+        stride row 1 implies and every one of their headers repeats row
+        0's length, all ``k`` rows are copied out as one ``(k, m)``
+        block; otherwise (ragged rows, a corrupt header, truncation)
+        they are read one run at a time, with the same values and
+        errors.
+        """
+        if k == 0:
+            return []
+        numbers = row_tc.element
+        dtype = numbers.dtype
+        size = numbers.size
+        bound = row_tc.bound
+        data = self._data
+        m = self.get_ulong()
+        self.align(size)
+        row0 = self._skip(m * size)
+        if bound is not None and m > bound:
+            raise MarshalError(f"sequence of {m} exceeds bound {bound}")
+        if k >= 2:
+            # From row 1 on, every header of an m-element row starts at
+            # the same offset modulo the element's alignment, so the pads
+            # and the header-to-header stride repeat; row 0's pad may
+            # differ.
+            header = self._pos + (-self._pos) % 4
+            start = header + 4
+            start += (-start) % size
+            stride = (start + m * size + 3) // 4 * 4 - header
+            end = start + (k - 2) * stride + m * size
+            if end <= len(data):
+                headers = np.ndarray((k - 1,), TC_ULONG.dtype, data, header,
+                                     (stride,))
+                if (headers == m).all():
+                    block = np.empty((k, m), dtype)
+                    block[0] = np.frombuffer(data, dtype, m, row0)
+                    block[1:] = np.ndarray((k - 1, m), dtype, data, start,
+                                           (stride, size))
+                    self._pos = end
+                    return list(block)
+        rows = [np.frombuffer(data, dtype, m, row0).copy()]
+        for _ in range(k - 1):
+            row = self.get_bulk(numbers)
+            if bound is not None and row.size > bound:
+                raise MarshalError(
+                    f"sequence of {row.size} exceeds bound {bound}")
+            rows.append(row)
+        return rows
 
     # -- typecode-driven -----------------------------------------------------------
 
@@ -173,23 +226,25 @@ class CdrDecoder:
     def _decode_sequence(self, tc: SequenceTC) -> Any:
         element = tc.element
         if is_numeric_primitive(element):
-            return _checked(tc, self.get_bulk(element))
+            arr = self.get_bulk(element)
+            if tc.bound is not None and arr.size > tc.bound:
+                raise MarshalError(
+                    f"sequence of {arr.size} exceeds bound {tc.bound}")
+            return arr
         n = self.get_ulong()
         if tc.bound is not None and n > tc.bound:
             raise MarshalError(f"sequence of {n} exceeds bound {tc.bound}")
-        if isinstance(element, SequenceTC) and is_numeric_primitive(element.element):
-            # Rows of numbers come straight from the numeric-run reader.
-            numbers = element.element
-            return [_checked(element, self.get_bulk(numbers))
-                    for _ in range(n)]
+        if is_numeric_rows(element):
+            return self.get_rows(element, n)
         return [self.decode(element) for _ in range(n)]
 
 
-def _checked(tc: SequenceTC, arr: np.ndarray) -> np.ndarray:
-    """A decoded numeric run, checked against ``tc``'s bound."""
-    if tc.bound is not None and arr.size > tc.bound:
-        raise MarshalError(f"sequence of {arr.size} exceeds bound {tc.bound}")
-    return arr
+def decode_rows_payload(row_tc: SequenceTC, payload) -> list:
+    """Decode a fragment of a nested numeric sequence, ``sequence<row_tc>``
+    (see :func:`~repro.cdr.encoder.encode_rows_payload`), with the rows
+    reader.  The rows never alias ``payload``."""
+    dec = CdrDecoder(payload)
+    return dec.get_rows(row_tc, dec.get_ulong())
 
 
 def decode_bulk_payload(element: PrimitiveTC, payload) -> np.ndarray:

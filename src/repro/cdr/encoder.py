@@ -7,9 +7,11 @@ enums travel as ``ulong``.  Byte order is fixed little-endian (a real GIOP
 stream carries a byte-order flag; a single simulation never mixes orders).
 
 Bulk numeric sequences take a numpy fast path: one alignment pad, one
-length word, one contiguous buffer copy.  Each row of a nested numeric
-sequence (``sequence<sequence<double>>`` and the like) is written the
-same way, straight from the outer sequence's loop.
+length word, one contiguous buffer copy.  A nested numeric sequence
+(``sequence<sequence<double>>`` and the like) has one rows writer: a
+planning pass checks every row and places its header and data with the
+alignment rules above, which sizes the whole run; the buffer then grows
+once and each row is written with one ndarray assignment.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from .typecodes import (
     TypeCode,
     UnionTC,
     is_numeric_primitive,
+    is_numeric_rows,
 )
 
 
@@ -115,7 +118,7 @@ class CdrEncoder:
     def put_bulk(self, element: PrimitiveTC, values: Any) -> None:
         """One numeric run: the ``ulong`` count, the pad to the element's
         alignment, and the elements in one copy.  Flat numeric sequences
-        and every row of a nested one are written here."""
+        are written here."""
         arr = np.ascontiguousarray(values, dtype=element.dtype)
         if arr.ndim != 1:
             raise MarshalError(f"bulk sequence must be 1-D, got shape {arr.shape}")
@@ -247,7 +250,7 @@ class CdrEncoder:
         self.encode(arm[1], arm_value)
 
     def _encode_sequence(self, tc: SequenceTC, value: Any) -> None:
-        n = _checked_len(tc, value)
+        n = _checked_len(value, tc.bound)
         # The bulk path is only valid for numeric primitive elements: an
         # ndarray handed to a sequence-of-structs (or similar) must go
         # element-wise so a wrong element type raises MarshalError.
@@ -256,32 +259,91 @@ class CdrEncoder:
             self.put_bulk(element, value)
             return
         self.put_ulong(n)
-        if isinstance(element, SequenceTC) and is_numeric_primitive(element.element):
-            # Rows of numbers go straight to the numeric-run writer; a
-            # str/bytes row goes element-wise, as it would on its own.
-            numbers = element.element
-            for row in value:
-                if isinstance(row, (str, bytes)):
-                    self._encode_sequence(element, row)
-                else:
-                    _checked_len(element, row)
-                    self.put_bulk(numbers, row)
+        if is_numeric_rows(element):
+            # The rows writer: size the run, grow the stream once, then
+            # write every row in place.
+            buf = self._buf
+            plan, end = _plan_rows(element, value, len(buf))
+            buf += bytes(end - len(buf))
+            _write_rows(buf, element.element, plan)
             return
         for item in value:
             self.encode(element, item)
 
 
-def _checked_len(tc: SequenceTC, value: Any) -> int:
-    """Length of a sequence value, checked against ``tc``'s bound."""
+def _checked_len(value: Any, bound: int | None) -> int:
+    """Length of a sequence value, checked against its ``bound``."""
     try:
         n = len(value)
     except TypeError:
         raise MarshalError(
             f"expected a sized sequence, got {type(value).__name__}"
         ) from None
-    if tc.bound is not None and n > tc.bound:
-        raise MarshalError(f"sequence of {n} exceeds bound {tc.bound}")
+    if bound is not None and n > bound:
+        raise MarshalError(f"sequence of {n} exceeds bound {bound}")
     return n
+
+
+def _plan_rows(row_tc: SequenceTC, rows: Any, pos: int):
+    """Planning pass of the rows writer, for rows starting at stream
+    offset ``pos``.
+
+    Checks each row as the element-wise stream would (bound, sized, 1-D;
+    a ``str``/``bytes`` row is converted element by element) and places
+    its ``ulong`` header and its data with the CDR alignment rules.
+    Returns ``([(header offset, first element index, length, array),
+    ...], end)``: all the writing pass needs, and where the run ends.
+    """
+    numbers = row_tc.element
+    dtype = numbers.dtype
+    size = numbers.size
+    bound = row_tc.bound
+    plan = []
+    for row in rows:
+        _checked_len(row, bound)
+        if type(row) is np.ndarray and row.dtype == dtype:
+            arr = row
+        elif isinstance(row, (str, bytes)):
+            scratch = CdrEncoder()
+            for v in row:
+                scratch.put_primitive(numbers, v)
+            arr = np.frombuffer(scratch.getvalue(), dtype)
+        else:
+            arr = np.asarray(row, dtype=dtype)
+        if arr.ndim != 1:
+            raise MarshalError(
+                f"bulk sequence must be 1-D, got shape {arr.shape}")
+        m = arr.size
+        header = pos + (-pos) % 4
+        data = header + 4
+        data += (-data) % size
+        plan.append((header, data // size, m, arr))
+        pos = data + m * size
+    return plan, pos
+
+
+def _write_rows(buf: bytearray, numbers: PrimitiveTC, plan) -> None:
+    """Writing pass of the rows writer: each planned row's header, then
+    its data through one dtype view of ``buf``, which must already span
+    the run with its pads zeroed.  The view is local, so the export
+    that blocks resizing ``buf`` ends on return."""
+    view = np.frombuffer(buf, numbers.dtype, len(buf) // numbers.size)
+    pack_into = _ULONG.pack_into
+    for header, first, m, arr in plan:
+        pack_into(buf, header, m)
+        view[first:first + m] = arr
+
+
+def encode_rows_payload(row_tc: SequenceTC, rows: Any) -> bytearray:
+    """A fragment of a nested numeric sequence, ``sequence<row_tc>``,
+    written by the rows writer into an exact-size ``bytearray`` (the
+    same bytes as :func:`encode`, without its final copy)."""
+    k = _checked_len(rows, None)
+    plan, total = _plan_rows(row_tc, rows, 4)
+    buf = bytearray(total)
+    _ULONG.pack_into(buf, 0, k)
+    _write_rows(buf, row_tc.element, plan)
+    return buf
 
 
 def encode(tc: TypeCode, value: Any) -> bytes:

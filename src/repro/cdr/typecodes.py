@@ -267,6 +267,13 @@ def is_numeric_primitive(tc: TypeCode) -> bool:
     return isinstance(tc, PrimitiveTC) and tc.name not in ("char",)
 
 
+def is_numeric_rows(tc: TypeCode) -> bool:
+    """Whether ``tc`` is a row of numbers, ``sequence<number>``: the
+    element of a nested numeric sequence, which the CDR rows writer and
+    reader handle."""
+    return isinstance(tc, SequenceTC) and is_numeric_primitive(tc.element)
+
+
 def wire_size(tc: TypeCode, value: Any) -> int:
     """Exact encoded size of ``value`` under ``tc`` (a fresh, aligned
     stream), used to charge network time.  It encodes ``value`` once and

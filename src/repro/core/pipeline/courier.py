@@ -24,9 +24,12 @@ A fragment's encoding follows from its element type alone.  Numeric
 elements (ndarray or list data alike) are written once into a
 :class:`~repro.cdr.buffers.PooledBuffer` leased from the world
 transport's :class:`~repro.cdr.buffers.BufferPool` and decode by
-aliasing, not copying; every other element type is CDR-encoded into a
-fresh ``bytes``.  Both carry the bytes of the element-wise
-``sequence<element>`` stream.  The lease rides the
+aliasing, not copying.  Rows of numbers (the element of a nested
+numeric sequence) are sized once and written in one pass into an
+exact-size ``bytearray``, which is not pooled, and come back as
+copies.  Every other element type is CDR-encoded into ``bytes``.  All
+of them carry the bytes of the element-wise ``sequence<element>``
+stream, so a payload is bytes-like.  The lease rides the
 :class:`~repro.core.request.Fragment`; whoever consumes (or discards)
 the fragment must call :func:`release_fragment`.
 
@@ -39,9 +42,9 @@ two simulations in one process never share counters.
 from __future__ import annotations
 
 from ...cdr import CdrDecoder, CdrEncoder, SequenceTC, TypeCode
-from ...cdr.decoder import decode_bulk_payload
-from ...cdr.encoder import encode_bulk_payload
-from ...cdr.typecodes import is_numeric_primitive
+from ...cdr.decoder import decode_bulk_payload, decode_rows_payload
+from ...cdr.encoder import encode_bulk_payload, encode_rows_payload
+from ...cdr.typecodes import is_numeric_primitive, is_numeric_rows
 from ..distribution import Distribution
 from ..request import Fragment
 from .. import transfer as _transfer
@@ -54,11 +57,14 @@ def fragment_payload(element: TypeCode, values, pool):
     """Encode one fragment's element run (``sequence<element>``).
 
     Numeric elements return a ``PooledBuffer`` lease from ``pool`` (the
-    caller owns it); every other element type returns ``bytes``.
+    caller owns it); rows of numbers return an exact-size ``bytearray``
+    and every other element type ``bytes``.  Both count as fallback.
     """
     if is_numeric_primitive(element):
         return encode_bulk_payload(element, values, pool)
     pool.stats.fallback_encodes += 1
+    if is_numeric_rows(element):
+        return encode_rows_payload(element, values)
     return CdrEncoder().encode(SequenceTC(element), values).getvalue()
 
 
@@ -72,6 +78,8 @@ def fragment_values(element: TypeCode, payload, pool):
         pool.stats.fast_decodes += 1
         return decode_bulk_payload(element, payload)
     pool.stats.fallback_decodes += 1
+    if is_numeric_rows(element):
+        return decode_rows_payload(element, payload)
     return CdrDecoder(payload).decode(SequenceTC(element))
 
 

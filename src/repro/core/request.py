@@ -117,7 +117,9 @@ class Fragment:
     param: str
     src_rank: int
     intervals: tuple
-    payload: bytes                  # CDR-encoded element run
+    #: the CDR-encoded element run, bytes-like: ``bytes``, an exact-size
+    #: ``bytearray`` (rows of numbers) or a pooled lease (numbers)
+    payload: Any
 
     def nbytes(self) -> int:
         return 48 + len(self.payload) + 16 * len(self.intervals)

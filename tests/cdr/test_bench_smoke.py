@@ -51,6 +51,10 @@ def test_nested_rows_smoke(bench_mod):
     bench_mod.test_decode_matrix_of_rows(_OneShotBenchmark(), 10)
 
 
+def test_nested_fragment_smoke(bench_mod):
+    bench_mod.test_nested_fragment_roundtrip(_OneShotBenchmark(), ncols=16)
+
+
 def test_records_smoke(bench_mod):
     bench_mod.test_roundtrip_heterogeneous_records(_OneShotBenchmark())
 
