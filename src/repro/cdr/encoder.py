@@ -119,6 +119,8 @@ class CdrEncoder:
         """One numeric run: the ``ulong`` count, the pad to the element's
         alignment, and the elements in one copy.  Flat numeric sequences
         are written here."""
+        if element.name == "boolean":
+            values = _booleans(values)
         arr = np.ascontiguousarray(values, dtype=element.dtype)
         if arr.ndim != 1:
             raise MarshalError(f"bulk sequence must be 1-D, got shape {arr.shape}")
@@ -208,6 +210,8 @@ class CdrEncoder:
 
     def _encode_array(self, tc: ArrayTC, value: Any) -> None:
         if is_numeric_primitive(tc.element):
+            if tc.element.name == "boolean":
+                value = _booleans(value)
             arr = np.ascontiguousarray(value, dtype=tc.element.dtype)
             if arr.shape != tc.dims:
                 raise MarshalError(
@@ -271,6 +275,16 @@ class CdrEncoder:
             self.encode(element, item)
 
 
+def _booleans(values: Any) -> np.ndarray:
+    """Boolean elements as a bulk lane writes them: each one's truth
+    value, so it is 0 or 1 on the wire, as ``put_primitive`` writes a
+    boolean."""
+    arr = np.asarray(values)
+    if arr.dtype.kind in "OSU":
+        return np.vectorize(bool, otypes=[bool])(arr)
+    return arr != 0
+
+
 def _checked_len(value: Any, bound: int | None) -> int:
     """Length of a sequence value, checked against its ``bound``."""
     try:
@@ -298,9 +312,12 @@ def _plan_rows(row_tc: SequenceTC, rows: Any, pos: int):
     dtype = numbers.dtype
     size = numbers.size
     bound = row_tc.bound
+    booleans = numbers.name == "boolean"
     plan = []
     for row in rows:
         _checked_len(row, bound)
+        if booleans and not isinstance(row, (str, bytes)):
+            row = _booleans(row)
         if type(row) is np.ndarray and row.dtype == dtype:
             arr = row
         elif isinstance(row, (str, bytes)):
@@ -374,6 +391,8 @@ def encode_bulk_payload(element: PrimitiveTC, values, pool):
     caller owns.
     """
     dtype = element.dtype
+    if element.name == "boolean":
+        values = _booleans(values)
     arr = values if (type(values) is np.ndarray and values.dtype == dtype) \
         else np.asarray(values, dtype=dtype)
     if arr.ndim != 1:

@@ -8,6 +8,7 @@ client engine (:mod:`repro.core.invocation`) and the server dispatcher
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Optional
 
 from ..cdr import DSequenceTC, TypeCode
@@ -32,44 +33,71 @@ class AttrDef:
     tc: TypeCode
     readonly: bool = False
 
+    @cached_property
+    def getter(self) -> "OpDef":
+        """The synthesized ``_get_<name>`` operation."""
+        return OpDef(f"_get_{self.name}", self.tc, ())
+
+    @cached_property
+    def setter(self) -> "OpDef":
+        """The synthesized ``_set_<name>`` operation."""
+        return OpDef(f"_set_{self.name}", None,
+                     (ParamDef("in", "value", self.tc),))
+
 
 @dataclass(frozen=True)
 class OpDef:
+    """One operation.  ``params`` is stored as a tuple, and its partitions
+    and scalar stream specs are computed once, here, in declared order:
+    the request path reads them on every call."""
+
     name: str
     ret_tc: Optional[TypeCode]
-    params: list
+    params: tuple
     oneway: bool = False
     raises: list = field(default_factory=list)   # exception repo ids
 
-    @property
-    def in_params(self) -> list:
-        return [p for p in self.params if p.direction in ("in", "inout")]
+    in_params: tuple = field(init=False, repr=False, compare=False)
+    out_params: tuple = field(init=False, repr=False, compare=False)
+    scalar_in_params: tuple = field(init=False, repr=False, compare=False)
+    dseq_in_params: tuple = field(init=False, repr=False, compare=False)
+    scalar_out_params: tuple = field(init=False, repr=False, compare=False)
+    dseq_out_params: tuple = field(init=False, repr=False, compare=False)
+    has_distributed_args: bool = field(init=False, repr=False,
+                                       compare=False)
+    #: ``(name, tc)`` of the scalar in-arguments, as the request header
+    #: carries them; read-only
+    scalar_in_specs: list = field(init=False, repr=False, compare=False)
+    #: ``(name, tc)`` of the scalar results, the return value (as
+    #: ``"__return"``) first; read-only
+    scalar_result_specs: list = field(init=False, repr=False, compare=False)
 
-    @property
-    def out_params(self) -> list:
-        return [p for p in self.params if p.direction in ("out", "inout")]
-
-    @property
-    def scalar_in_params(self) -> list:
-        return [p for p in self.in_params if not p.is_distributed]
-
-    @property
-    def dseq_in_params(self) -> list:
-        return [p for p in self.in_params if p.is_distributed]
-
-    @property
-    def scalar_out_params(self) -> list:
-        return [p for p in self.out_params if not p.is_distributed]
-
-    @property
-    def dseq_out_params(self) -> list:
-        return [p for p in self.out_params if p.is_distributed]
-
-    @property
-    def has_distributed_args(self) -> bool:
-        return bool(self.dseq_in_params or self.dseq_out_params) or isinstance(
-            self.ret_tc, DSequenceTC
-        )
+    def __post_init__(self) -> None:
+        params = tuple(self.params)
+        ins = tuple(p for p in params if p.direction in ("in", "inout"))
+        outs = tuple(p for p in params if p.direction in ("out", "inout"))
+        scalar_ins = tuple(p for p in ins if not p.is_distributed)
+        scalar_outs = tuple(p for p in outs if not p.is_distributed)
+        dseq_ins = tuple(p for p in ins if p.is_distributed)
+        dseq_outs = tuple(p for p in outs if p.is_distributed)
+        ret_dseq = isinstance(self.ret_tc, DSequenceTC)
+        results = [] if self.ret_tc is None or ret_dseq \
+            else [("__return", self.ret_tc)]
+        results.extend((p.name, p.tc) for p in scalar_outs)
+        for attr, value in (
+            ("params", params),
+            ("in_params", ins),
+            ("out_params", outs),
+            ("scalar_in_params", scalar_ins),
+            ("dseq_in_params", dseq_ins),
+            ("scalar_out_params", scalar_outs),
+            ("dseq_out_params", dseq_outs),
+            ("has_distributed_args",
+             bool(dseq_ins or dseq_outs) or ret_dseq),
+            ("scalar_in_specs", [(p.name, p.tc) for p in scalar_ins]),
+            ("scalar_result_specs", results),
+        ):
+            object.__setattr__(self, attr, value)
 
 
 @dataclass(frozen=True)

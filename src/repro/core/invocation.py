@@ -20,6 +20,7 @@ from __future__ import annotations
 from typing import Optional
 
 from ..runtime import collectives as coll
+from ..runtime.program import PORT_ORB
 from .errors import BindingError, CollectiveMismatch
 from .futures import Future
 from .interfacedef import OpDef
@@ -51,6 +52,12 @@ class Binding:
         #: through a selection policy — enables failover rebinds
         self.group = group
         self.policy = policy
+        prog = ctx.program
+        #: where replies go: every client thread's ORB port for a
+        #: collective binding, this thread's endpoint otherwise
+        self._reply_to = (
+            tuple(prog.address(r, PORT_ORB) for r in range(prog.nprocs))
+            if collective else (ctx.endpoint.address,))
         ctx.compute(ctx.orb.config.bind_cost)
 
     def rebind(self, ref: ObjectRef) -> None:
@@ -74,12 +81,7 @@ class Binding:
         return (self.uid, self._req_seq)
 
     def reply_endpoints(self) -> tuple:
-        prog = self.ctx.program
-        if self.collective:
-            from ..runtime.program import PORT_ORB
-
-            return tuple(prog.address(r, PORT_ORB) for r in range(prog.nprocs))
-        return (self.ctx.endpoint.address,)
+        return self._reply_to
 
     def __repr__(self) -> str:
         mode = "spmd" if self.collective else "single"

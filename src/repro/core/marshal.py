@@ -17,6 +17,7 @@ from ..cdr import (
     CdrDecoder,
     CdrEncoder,
     DSequenceTC,
+    ObjectRefTC,
     TypeCode,
 )
 from .distribution import Distribution
@@ -46,25 +47,23 @@ def decode_scalars(specs: list[tuple[str, TypeCode]], data: bytes) -> dict:
 def materialize_objrefs(specs: list[tuple[str, TypeCode]], values: dict,
                         ctx) -> dict:
     """Replace decoded ObjectRefs with live proxies (in place)."""
-    from ..cdr.typecodes import ObjectRefTC
-    from .stubapi import proxy_for
-
     for name, tc in specs:
         if isinstance(tc, ObjectRefTC):
+            from .stubapi import proxy_for   # stubapi imports this module
+
             values[name] = proxy_for(values[name], ctx)
     return values
 
 
 def scalar_in_specs(op: OpDef) -> list[tuple[str, TypeCode]]:
-    return [(p.name, p.tc) for p in op.scalar_in_params]
+    """The op's scalar in-argument specs (shared: do not mutate)."""
+    return op.scalar_in_specs
 
 
 def scalar_result_specs(op: OpDef) -> list[tuple[str, TypeCode]]:
-    specs = []
-    if op.ret_tc is not None and not isinstance(op.ret_tc, DSequenceTC):
-        specs.append(("__return", op.ret_tc))
-    specs.extend((p.name, p.tc) for p in op.scalar_out_params)
-    return specs
+    """The op's scalar result specs, return value first (shared: do not
+    mutate)."""
+    return op.scalar_result_specs
 
 
 # ---------------------------------------------------------------------------

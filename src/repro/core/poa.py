@@ -32,7 +32,7 @@ from typing import Any, Optional
 from ..runtime.program import PORT_ORB
 from ..runtime.tags import TAG_ARG_FRAGMENT, TAG_REPLY_HEADER, TAG_REQUEST_HEADER
 from .errors import BindingError, ObjectNotFound
-from .interfacedef import InterfaceDef, OpDef, ParamDef
+from .interfacedef import InterfaceDef, OpDef
 from .pipeline.courier import release_fragment
 from .pipeline.state import ServerRequestState
 from .repository import ObjectRef
@@ -265,12 +265,11 @@ class POA:
         if hdr.op.startswith("_get_"):
             attr = iface.attr(hdr.op[5:])
             if attr is not None:
-                return OpDef(hdr.op, attr.tc, [])
+                return attr.getter
         if hdr.op.startswith("_set_"):
             attr = iface.attr(hdr.op[5:])
             if attr is not None and not attr.readonly:
-                return OpDef(hdr.op, None,
-                             [ParamDef("in", "value", attr.tc)])
+                return attr.setter
         return None
 
     # -- dead-lettered argument fragments ---------------------------------------

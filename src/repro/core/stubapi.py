@@ -175,14 +175,11 @@ class ProxyBase:
                       blocking=False)
 
     def _invoke_attr_get(self, attr_name: str):
-        attr = self._interface.attr(attr_name)
-        op = OpDef(f"_get_{attr_name}", attr.tc, [])
+        op = self._interface.attr(attr_name).getter
         return invoke(self._binding, op, (), None, blocking=True)
 
     def _invoke_attr_set(self, attr_name: str, value) -> None:
-        attr = self._interface.attr(attr_name)
-        op = OpDef(f"_set_{attr_name}", None,
-                   [ParamDef("in", "value", attr.tc)])
+        op = self._interface.attr(attr_name).setter
         return invoke(self._binding, op, (value,), None, blocking=True)
 
     # -- introspection ------------------------------------------------------------------

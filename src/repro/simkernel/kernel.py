@@ -22,10 +22,43 @@ would have resumed it.  The caller of :meth:`SimKernel.run` starts the
 first thread and then only waits, to be woken when the run stops: on a
 failure, when no non-daemon thread is left, when the queue drains (the
 deadlock check), or when the next event lies past ``until``.
+
+Each handoff is one release of the resumed thread's ``_go``, a raw
+``_thread`` lock created held and used as a binary semaphore; the run's
+caller waits on ``_yield_sem``, another such lock.  A raw lock raises
+``RuntimeError`` when released unheld, so these handoffs rely on an
+invariant: **control is a single baton, and ``_go`` is released only to
+give a thread the baton while it does not hold it.**  A thread holds the
+baton from the release of its ``_go`` until it hands it on, and it can
+only hand it on after its ``acquire`` has consumed that release, so no
+second release can come first.  The paths that release are:
+
+* ``_handoff`` runs on the baton holder ``me``.  It releases ``_go`` of
+  the thread whose event it popped only when that thread is not ``me``;
+  that thread is NEW (parked, or about to park, on its held ``_go``) or
+  has yielded (advanced, or blocked and been woken) and is parked the
+  same way, so this is one release per acquire.  When the run stops it releases ``_yield_sem`` instead, and
+  ``me`` parks on its own ``_go`` or exits: the baton is with the
+  caller, and ``_yield_sem`` is released once per ``run()``.
+* ``run()`` holds the baton on entry (no simulated thread runs between
+  runs) and gives it to the first thread with one release, then takes
+  it back with one acquire of ``_yield_sem``.
+* ``run(until=...)`` ends with every live thread parked on a held
+  ``_go``, and the next ``run()`` starts from that state, so it is the
+  case above.
+* A failed thread hands the baton back through ``_finish`` →
+  ``_handoff``, which sees ``_failed`` and releases ``_yield_sem``; it
+  never releases another thread's ``_go``.
+* ``_teardown`` runs on the caller, which holds the baton, so every
+  unfinished thread is parked on a held ``_go``; each gets exactly one
+  release, with ``_kill`` set, and is joined before the next.  A
+  killed thread raises ``SimKilled`` at its next yield and skips
+  ``_finish``, so it hands nothing on.
 """
 
 from __future__ import annotations
 
+import _thread
 import enum
 import threading
 from typing import Any, Callable, Optional
@@ -46,6 +79,13 @@ class ThreadState(enum.Enum):
 
 
 _FINISHED = (ThreadState.DONE, ThreadState.FAILED)
+
+
+def _held_lock():
+    """A raw lock, already held: a binary semaphore at zero."""
+    lock = _thread.allocate_lock()
+    lock.acquire()
+    return lock
 
 
 class SimThread:
@@ -75,7 +115,7 @@ class SimThread:
         self.wait_reason: Optional[str] = None
         self.result: Any = None
         self.exc: Optional[BaseException] = None
-        self._go = threading.Semaphore(0)
+        self._go = _held_lock()
         self._kill = False
         self._wake_event = None
         self.locals: dict[str, Any] = {}   # scratch space for upper layers
@@ -145,7 +185,7 @@ class SimKernel:
     def __init__(self, trace: Callable[[str], None] | None = None) -> None:
         self._events = EventQueue()
         self._threads: list[SimThread] = []
-        self._yield_sem = threading.Semaphore(0)   # wakes run()'s caller
+        self._yield_sem = _held_lock()     # wakes run()'s caller
         self._running = False
         self._finished = False
         self._until: float | None = None

@@ -62,12 +62,20 @@ def tc_and_strided(draw):
     return tc, arr
 
 
+def on_wire(tc, arr):
+    """What the bulk lanes carry for ``arr``: a boolean as 0 or 1, as the
+    scalar encoder writes it, and every other bit pattern unchanged."""
+    if tc is TC_BOOLEAN:
+        return (arr != 0).astype(tc.dtype)
+    return arr
+
+
 def representable(tc, arr):
     """``arr`` as values Python scalars carry exactly: a boolean is 0 or
     1, and a float signalling NaN becomes quiet (CPython's float32 pack
     sets the quiet bit)."""
     if tc is TC_BOOLEAN:
-        return (arr != 0).astype(tc.dtype)
+        return on_wire(tc, arr)
     if tc is TC_FLOAT:
         bits = arr.view("<u4").copy()
         bits[np.isnan(arr)] |= 0x00400000
@@ -109,9 +117,15 @@ def test_fast_encode_matches_slow_wire_bytes(case):
 
 @given(tc_and_array())
 def test_fast_encode_matches_sequence_encoder_on_raw_bits(case):
-    """Every bit pattern, NaN payloads and non-0/1 booleans included."""
+    """Every bit pattern, NaN payloads included.  A boolean byte other
+    than 0 or 1 goes on the wire as 1 on both bulk lanes, as the
+    element-wise stream writes it."""
     tc, arr = case
-    assert fast_wire(tc, arr, BufferPool()) == sequence_wire(tc, arr)
+    wire = fast_wire(tc, arr, BufferPool())
+    assert wire == sequence_wire(tc, arr)
+    if tc is TC_BOOLEAN:
+        assert wire == slow_wire(tc, arr)
+        assert set(wire[4:]) <= {0, 1}
 
 
 @given(tc_and_strided())
@@ -124,14 +138,15 @@ def test_fast_encode_matches_slow_on_non_contiguous_input(case):
 
 @given(tc_and_array())
 def test_fast_decode_roundtrips_exactly(case):
-    """fast-decode(fast-encode(x)) is byte-identical to x, and the
-    decoded array is a read-only alias, not a copy."""
+    """fast-decode(fast-encode(x)) is byte-identical to x as the wire
+    carries it (booleans as 0/1), and the decoded array is a read-only
+    alias, not a copy."""
     tc, arr = case
     pool = BufferPool()
     buf = encode_bulk_payload(tc, arr, pool)
     out = decode_bulk_payload(tc, buf)
     assert out.dtype == arr.dtype
-    assert out.tobytes() == arr.tobytes()
+    assert out.tobytes() == on_wire(tc, arr).tobytes()
     assert not out.flags.writeable
     assert not out.flags.owndata
     buf.release()

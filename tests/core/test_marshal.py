@@ -8,7 +8,7 @@ from repro.cdr import DSequenceTC, StringTC, TC_DOUBLE, TC_LONG
 from repro.core.distribution import Distribution
 from repro.core.dsequence import DistributedSequence
 from repro.core.errors import BadOperation
-from repro.core.interfacedef import OpDef, ParamDef
+from repro.core.interfacedef import AttrDef, OpDef, ParamDef
 from repro.core.marshal import (
     as_distributed,
     decode_scalars,
@@ -46,6 +46,56 @@ class TestParamPartitions:
         assert [p.name for p in OP.dseq_in_params] == ["v"]
         assert [p.name for p in OP.dseq_out_params] == ["w"]
         assert OP.has_distributed_args
+
+    def test_partitions_keep_declared_order(self):
+        op = OpDef("h", DS, [
+            ParamDef("out", "o1", TC_LONG),
+            ParamDef("inout", "d1", DS),
+            ParamDef("in", "i1", TC_DOUBLE),
+            ParamDef("out", "d2", DS),
+            ParamDef("inout", "io1", StringTC()),
+            ParamDef("in", "d3", DS),
+            ParamDef("out", "o2", TC_DOUBLE),
+            ParamDef("inout", "io2", TC_LONG),
+        ])
+
+        def names(params):
+            return [p.name for p in params]
+
+        assert names(op.params) == ["o1", "d1", "i1", "d2", "io1", "d3",
+                                    "o2", "io2"]
+        assert names(op.in_params) == ["d1", "i1", "io1", "d3", "io2"]
+        assert names(op.out_params) == ["o1", "d1", "d2", "io1", "o2",
+                                        "io2"]
+        assert names(op.scalar_in_params) == ["i1", "io1", "io2"]
+        assert names(op.dseq_in_params) == ["d1", "d3"]
+        assert names(op.scalar_out_params) == ["o1", "io1", "o2", "io2"]
+        assert names(op.dseq_out_params) == ["d1", "d2"]
+        assert [n for n, _ in scalar_in_specs(op)] == ["i1", "io1", "io2"]
+        # a distributed return value travels as fragments, not a scalar
+        assert [n for n, _ in scalar_result_specs(op)] == \
+            ["o1", "io1", "o2", "io2"]
+
+    def test_metadata_is_immutable_and_built_once(self):
+        params = [ParamDef("in", "a", TC_LONG)]
+        op = OpDef("k", None, params)
+        params.append(ParamDef("in", "b", TC_LONG))
+        assert isinstance(op.params, tuple)
+        assert [p.name for p in op.in_params] == ["a"]
+        assert op.in_params is op.in_params
+        assert scalar_in_specs(op) is scalar_in_specs(op)
+        with pytest.raises(AttributeError):
+            op.params = ()
+
+    def test_attribute_accessors_built_once(self):
+        attr = AttrDef("size", TC_LONG)
+        assert attr.getter is attr.getter
+        assert attr.setter is attr.setter
+        assert (attr.getter.name, attr.getter.ret_tc) == ("_get_size",
+                                                          TC_LONG)
+        assert scalar_result_specs(attr.getter) == [("__return", TC_LONG)]
+        assert attr.setter.name == "_set_size"
+        assert scalar_in_specs(attr.setter) == [("value", TC_LONG)]
 
 
 class TestScalarStreams:

@@ -624,3 +624,136 @@ def test_raising_trace_hook_fails_the_run_instead_of_hanging():
     with pytest.raises(SimThreadFailed, match="trace sink full"):
         k.run()
     assert not _sim_os_threads(k)
+
+
+# -- the handoff invariant ---------------------------------------------------
+#
+# ``_go`` and ``_yield_sem`` are raw locks used as binary semaphores: a
+# second release before an acquire raises RuntimeError, on the releasing
+# thread.  Each test below drives one of the paths that release them and
+# ends with no such error (the kernel's threads report theirs through
+# ``threading.excepthook``) and no live ``sim:`` OS thread.
+
+
+@pytest.fixture
+def thread_errors(monkeypatch):
+    """Exceptions that escaped any OS thread during the test."""
+    errors = []
+    monkeypatch.setattr(threading, "excepthook", errors.append)
+    return errors
+
+
+def _assert_parked(k):
+    """Between runs every unfinished thread waits on a held ``_go`` and
+    no release of ``_yield_sem`` is pending."""
+    live = [t for t in k.threads
+            if t.state not in (ThreadState.DONE, ThreadState.FAILED)]
+    assert all(t._go.locked() for t in live)
+    assert k._yield_sem.locked()
+
+
+def _assert_clean(k, thread_errors):
+    assert thread_errors == []
+    assert not _sim_os_threads(k)
+    assert not [t for t in threading.enumerate()
+                if t.name in {f"sim:{s.name}" for s in k.threads}]
+
+
+def test_handoff_run_until_then_run(thread_errors):
+    k = SimKernel()
+    log = []
+
+    def pinger(peer):
+        for _ in range(4):
+            k.advance(1.0)
+            log.append(("ping", k.now()))
+            k.wake(peer)
+
+    def ponger():
+        for _ in range(4):
+            k.block("ping")
+            log.append(("pong", k.now()))
+
+    pong = k.spawn(ponger, name="pong")
+    k.spawn(pinger, pong, name="ping")
+    late = k.spawn(lambda: log.append(("late", k.now())), name="late",
+                   start_time=3.0)
+    k.spawn(lambda: k.block("serving"), name="server", daemon=True)
+    assert k.run(until=2.5) == 2.5
+    assert late.state == ThreadState.NEW
+    assert pong.state == ThreadState.BLOCKED
+    _assert_parked(k)
+    assert k.run(until=2.5) == 2.5         # nothing due: no handoff at all
+    _assert_parked(k)
+    assert k.run() == 4.0
+    assert log == [("ping", 1.0), ("pong", 1.0), ("ping", 2.0),
+                   ("pong", 2.0), ("late", 3.0), ("ping", 3.0),
+                   ("pong", 3.0), ("ping", 4.0), ("pong", 4.0)]
+    _assert_clean(k, thread_errors)
+
+
+def test_handoff_failure_with_new_ready_and_blocked_threads(thread_errors):
+    k = SimKernel()
+    seen = {}
+
+    def failer():
+        k.advance(1.0)
+        seen.update((t.name, t.state) for t in k.threads)
+        raise ValueError("boom")
+
+    k.spawn(failer, name="failer")
+    k.spawn(lambda: k.advance(5.0), name="ready")
+    k.spawn(lambda: k.block("never woken"), name="blocked")
+    k.spawn(lambda: None, name="new", start_time=2.0)
+    k.spawn(lambda: k.block("serving"), name="server", daemon=True)
+    with pytest.raises(SimThreadFailed, match="boom"):
+        k.run()
+    assert seen == {
+        "failer": ThreadState.RUNNING, "ready": ThreadState.READY,
+        "blocked": ThreadState.BLOCKED, "new": ThreadState.NEW,
+        "server": ThreadState.BLOCKED,
+    }
+    assert all(t.state == ThreadState.DONE for t in k.threads)
+    _assert_clean(k, thread_errors)
+
+
+def test_handoff_deadlock_teardown(thread_errors):
+    k = SimKernel()
+
+    def bouncer(peer_box):
+        for _ in range(3):
+            k.advance(0.5)
+            k.wake(peer_box[0])
+            k.block("bounce")
+
+    box_a, box_b = [None], [None]
+    a = k.spawn(bouncer, box_b, name="a")
+    b = k.spawn(bouncer, box_a, name="b")
+    box_a[0], box_b[0] = a, b
+    k.spawn(lambda: k.block("serving"), name="server", daemon=True)
+    with pytest.raises(DeadlockError) as ei:
+        k.run()
+    assert [t.name for t in ei.value.blocked] == ["b"]   # a finished after b blocked
+    assert k.context_switches > 3
+    _assert_clean(k, thread_errors)
+
+
+def test_handoff_threads_spawned_but_never_resumed(thread_errors):
+    k = SimKernel()
+    daemons = [k.spawn(lambda: k.advance(1.0), name=f"d{i}", daemon=True)
+               for i in range(3)]
+    assert k.run() == 0.0                   # no non-daemon thread: no run
+    assert k.events_processed == 0
+    assert all(d.state == ThreadState.DONE for d in daemons)
+    _assert_clean(k, thread_errors)
+
+    k = SimKernel()
+    log = []
+    for i in range(3):
+        k.spawn(lambda i=i: log.append(i), name=f"t{i}", start_time=2.0)
+    assert k.run(until=1.0) == 1.0          # nothing resumed yet
+    assert k.events_processed == 0 and log == []
+    _assert_parked(k)
+    assert k.run() == 2.0
+    assert log == [0, 1, 2]
+    _assert_clean(k, thread_errors)
