@@ -155,9 +155,9 @@ def test_end_to_end_invocation_wallclock(benchmark):
 # ---------------------------------------------------------------------------
 
 
-def _echo_run(attach=None, n=200, admission=False):
+def _echo_run(install=None, n=200, admission=False):
     """Wall seconds and virtual end-time of an ``n``-invocation echo sim;
-    ``attach(world)`` installs instrumentation before the run.  Payload-free
+    ``install(world)`` instruments the world before the run.  Payload-free
     blocking echoes are the *worst case* for fixed per-request overhead —
     any real workload amortizes it over marshalling and compute."""
     import gc
@@ -168,8 +168,8 @@ def _echo_run(attach=None, n=200, admission=False):
     mod = compile_idl("interface g { long echo(in long x); };",
                       module_name="bench_overhead_stubs")
     sim = Simulation(config=OrbConfig(max_outstanding=4))
-    if attach is not None:
-        attach(sim.world)
+    if install is not None:
+        install(sim.world)
 
     def server_main(ctx):
         class Impl(mod.g_skel):
@@ -214,28 +214,28 @@ def test_tracing_overhead_gate():
     additive and right-skewed (the minimum is the least-contaminated
     estimate of intrinsic cost — the same reasoning as ``timeit``).
     Widen with PARDIS_OVERHEAD_GATE_PCT for pathologically noisy
-    machines.  The full observability stack (observer + tracer +
-    metrics) is measured alongside for the record — it turns the
-    observer's span recording on and has no 5% budget.
+    machines.  The full observability stack (``attach(world,
+    tracing=True, metrics=True)``: observer + tracer + metrics) is
+    measured alongside for the record — it turns the observer's span
+    recording on and has no 5% budget.
     """
     import os
 
-    from repro.tools.observe import attach_observer
-    from repro.tools.registry import attach_metrics
-    from repro.tools.tracing import attach_tracing
+    from repro.tools import TracingInterceptor, attach
+
+    def tracing_alone(world):
+        world.services["orb"].register_interceptor(TracingInterceptor())
 
     def full_stack(world):
-        attach_observer(world)
-        attach_tracing(world)
-        attach_metrics(world)
+        attach(world, tracing=True, metrics=True)
 
     _echo_run()  # warm the stub/import caches outside the measurement
     plain, traced, stacked = [], [], []
     virtual = set()
     for _ in range(9):
-        for samples, attach in ((plain, None), (traced, attach_tracing),
-                                (stacked, full_stack)):
-            wall, vt = _echo_run(attach)
+        for samples, install in ((plain, None), (traced, tracing_alone),
+                                 (stacked, full_stack)):
+            wall, vt = _echo_run(install)
             samples.append(wall)
             virtual.add(vt)
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from repro.core import Simulation, dynamic_bind
 from repro.idl import compile_idl
-from repro.tools import attach_tracer
+from repro.tools import attach
 
 SERVER_IDL = """
     typedef dsequence<double, 4096> samples;
@@ -79,7 +79,7 @@ def client_main(ctx):
 
 def main():
     sim = Simulation()
-    trace = attach_tracer(sim.world.transport)
+    trace = attach(sim.world).observer.packet_trace
     sim.server(server_main, host="HOST_2", nprocs=2, name="stats-server")
     sim.client(client_main, host="HOST_1", nprocs=2, name="dyn-client")
     sim.run()

@@ -20,7 +20,7 @@ from repro.experiments.fig5_pipeline import _network
 from repro.apps.diffusion import diffusion_client_main
 from repro.apps.gradient import gradient_server_main
 from repro.apps.visualizer import visualizer_server_main
-from repro.tools import attach_metrics, attach_observer, attach_tracing
+from repro.tools import attach
 
 
 def main():
@@ -29,9 +29,8 @@ def main():
     n = 64
 
     sim = Simulation(network=_network())
-    obs = attach_observer(sim.world)
-    tracer = attach_tracing(sim.world)
-    registry = attach_metrics(sim.world)
+    instruments = attach(sim.world, tracing=True, metrics=True)
+    obs, tracer = instruments.observer, instruments.tracer
 
     sim.server(visualizer_server_main, host="SGI_PC", nprocs=1,
                node_offset=9, args=("diff_visualizer",), name="viz-diff")
@@ -70,7 +69,7 @@ def main():
         print(f"  {name:<18} {value}")
 
     print("\nmetrics registry (excerpt of the Prometheus exposition):")
-    for line in registry.prometheus_text().splitlines():
+    for line in instruments.registry.prometheus_text().splitlines():
         if line.startswith(("pardis_requests_total",
                             "pardis_trace_events_total")):
             print(f"  {line}")

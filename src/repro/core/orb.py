@@ -14,7 +14,7 @@ repositories and the per-host activation agents.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
 from ..cdr import TC_DOUBLE, TypeCode
@@ -134,7 +134,7 @@ class ORB:
         #: portable-interceptor chain shared by every program's request
         #: path in this world; empty by default (zero hot-path cost)
         self.interceptors = InterceptorChain(self.config.interceptors)
-        #: request-lifecycle observer (repro.tools.observe.attach_observer):
+        #: request-lifecycle observer (set by repro.tools.attach):
         #: the one seam through which the request state machines, the
         #: POA and the fragment courier report spans, request lifecycles,
         #: CDR bytes and transfer schedules

@@ -86,14 +86,7 @@ class Simulation:
         ))
         self.orb.agent(host)  # ensure an agent exists on the server's host
 
-    # -- observability / interception --------------------------------------------------
-
-    def attach_observer(self, label: str = ""):
-        """Install a request-lifecycle observer (see
-        :mod:`repro.tools.observe`) on this simulation; returns it."""
-        from ..tools.observe import attach_observer
-
-        return attach_observer(self.world, label=label)
+    # -- interception -----------------------------------------------------------------
 
     def register_interceptor(self, icept):
         """Register a portable interceptor (see

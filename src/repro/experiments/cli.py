@@ -52,7 +52,7 @@ def _session(args):
         except OSError as exc:
             raise SystemExit(f"{flag}: cannot write {path!r}: {exc}")
 
-    return TraceSession(tracing=True, metrics=bool(metrics))
+    return TraceSession(metrics=bool(metrics))
 
 
 def _finish_trace(args, session, out: str) -> str:

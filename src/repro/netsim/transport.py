@@ -147,8 +147,8 @@ class Transport:
         self._endpoints: dict[Address, Endpoint] = {}
         self.packets_sent = 0
         self.bytes_sent = 0
-        #: callables run with every delivered Packet (see
-        #: repro.tools.trace.attach_tracer and repro.tools.observe); an
+        #: callables run with every delivered Packet (an attached
+        #: observer's repro.tools.trace.PacketTrace, see repro.tools); an
         #: empty list keeps the send path at one truthiness check
         self.observers: list = []
         #: per-world pool the fragment courier leases payload buffers

@@ -371,8 +371,9 @@ class SimKernel:
 
         Raises :class:`SimThreadFailed` if any simulated thread raised, and
         :class:`DeadlockError` if non-daemon threads remain blocked with no
-        pending events.  Daemon threads (e.g. server request loops) are
-        killed cleanly once all non-daemon threads have finished.
+        pending events; either error first kills every simulated thread,
+        whatever ``until`` is.  Daemon threads (e.g. server request loops)
+        are killed cleanly once all non-daemon threads have finished.
 
         The calling thread starts the first simulated thread and then
         waits; the simulated threads hand control to one another until the
@@ -395,10 +396,12 @@ class SimKernel:
                 self._teardown()
                 raise SimThreadFailed(failed.name, failed.exc) from failed.exc
             if self._live and not self._events:
-                raise DeadlockError([
+                err = DeadlockError([
                     t for t in self._threads
                     if not t.daemon and t.state not in _FINISHED
                 ])
+                self._teardown()
+                raise err
             return self._last_time
         finally:
             self._running = False

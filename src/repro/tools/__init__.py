@@ -1,35 +1,33 @@
 """Operator tooling: packet tracing, lifecycle observation, distributed
-tracing, metrics, summaries."""
+tracing, metrics, summaries.
 
-from .metrics import ComputeMeter, attach_meter
+``attach(world, tracing=..., metrics=..., meter=...)`` is the one way to
+instrument a world; it returns an :class:`Instruments` handle whose
+``detach()`` undoes it."""
+
+from .instruments import Instruments, attach
+from .metrics import ComputeMeter
 from .observe import (
     RequestObserver,
     Span,
     TraceSession,
-    attach_observer,
-    detach_observer,
     validate_chrome_trace,
 )
 from .registry import (
     MetricsRegistry,
-    attach_metrics,
     flatten_snapshot,
     parse_prometheus_text,
 )
-from .trace import PacketTrace, RingBuffer, TraceRecord, attach_tracer
+from .trace import PacketTrace, RingBuffer, TraceRecord
 from .tracing import (
     TRACE_CONTEXT,
     HeadSampling,
     TraceContext,
     TracingInterceptor,
-    attach_tracing,
-    detach_tracing,
 )
 
-__all__ = ["ComputeMeter", "HeadSampling", "MetricsRegistry", "PacketTrace",
-           "RequestObserver", "RingBuffer", "Span", "TRACE_CONTEXT",
-           "TraceContext", "TraceRecord", "TraceSession",
-           "TracingInterceptor", "attach_meter", "attach_metrics",
-           "attach_observer", "attach_tracer", "attach_tracing",
-           "detach_observer", "detach_tracing", "flatten_snapshot",
+__all__ = ["ComputeMeter", "HeadSampling", "Instruments", "MetricsRegistry",
+           "PacketTrace", "RequestObserver", "RingBuffer", "Span",
+           "TRACE_CONTEXT", "TraceContext", "TraceRecord", "TraceSession",
+           "TracingInterceptor", "attach", "flatten_snapshot",
            "parse_prometheus_text", "validate_chrome_trace"]

@@ -1,0 +1,104 @@
+"""One instrumentation handle per world.
+
+:func:`attach` is the only way to instrument a world.  It installs a
+:class:`~repro.tools.observe.RequestObserver` and, on request, a
+:class:`~repro.tools.tracing.TracingInterceptor`, a
+:class:`~repro.tools.registry.MetricsRegistry` and a
+:class:`~repro.tools.metrics.ComputeMeter`, and makes every link between
+them and the world here, in one place.  The returned
+:class:`Instruments` handle names what was installed, and its
+:meth:`~Instruments.detach` undoes every hook.
+
+The world's hooks, all set by :func:`attach`:
+
+* ``orb.observer`` — the ORB's one instrumentation seam (spans, request
+  lifecycles, CDR bytes, transfer schedules);
+* ``transport.observers`` — the observer's packet trace;
+* ``world.services["observer"]`` — read by the fragment courier's
+  redistribution, which runs below the ORB;
+* ``world.services["compute_meter"]`` — read by ``MPIRuntime.compute``;
+* the interceptor chain — the tracer, when ``tracing=True``.
+
+Everything belongs to ``world``: instruments of other worlds in the same
+process never see its counts.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+from typing import Any, Optional
+
+from .metrics import ComputeMeter
+from .observe import RequestObserver
+from .registry import MetricsRegistry, _world_registry
+from .tracing import HeadSampling, TracingInterceptor
+
+__all__ = ["Instruments", "attach"]
+
+
+@dataclass(eq=False)
+class Instruments:
+    """The instruments :func:`attach` installed on one world (each
+    ``None`` when not requested)."""
+
+    observer: RequestObserver
+    tracer: Optional[TracingInterceptor] = None
+    registry: Optional[MetricsRegistry] = None
+    meter: Optional[ComputeMeter] = None
+    _world: Any = field(default=None, repr=False)
+
+    def detach(self) -> None:
+        """Unhook every instrument from the world and from each other;
+        what they recorded stays readable.  Idempotent."""
+        world, self._world = self._world, None
+        if world is None:
+            return
+        obs = self.observer
+        orb = world.services["orb"]
+        orb.observer = None
+        del world.services["observer"]
+        world.transport.observers.remove(obs.packet_trace)
+        if self.tracer is not None:
+            orb.unregister_interceptor(self.tracer)
+            self.tracer.observer = obs.tracer = None
+        if self.meter is not None:
+            del world.services["compute_meter"]
+
+
+def attach(world, *, tracing: bool = False, metrics: bool = False,
+           meter: bool = False, label: str = "",
+           sampler: Optional[HeadSampling] = None,
+           always_on_error: bool = True) -> Instruments:
+    """Instrument ``world`` (before ``run()``); returns the handle.
+
+    The observer is always installed.  ``tracing`` adds a tracer on the
+    interceptor chain whose contexts annotate every span (``sampler`` and
+    ``always_on_error`` configure it); ``metrics`` a registry collecting
+    every layer's counters; ``meter`` per-node compute accounting, shown
+    in the observer's report.  Raises ``ValueError`` if the world is
+    already instrumented.
+    """
+    orb = world.services["orb"]
+    if orb.observer is not None:
+        raise ValueError("world is already instrumented; detach() the "
+                         "existing handle first")
+    obs = RequestObserver(label=label)
+    obs.orb = orb
+    obs.zero_copy = world.transport.buffer_pool.stats
+    orb.observer = obs
+    world.services["observer"] = obs
+    world.transport.observers.append(obs.packet_trace)
+    handle = Instruments(obs, _world=world)
+    if tracing:
+        tracer = TracingInterceptor(sampler=sampler,
+                                    always_on_error=always_on_error)
+        orb.register_interceptor(tracer)
+        tracer.observer = obs
+        obs.tracer = handle.tracer = tracer
+    if meter:
+        obs.meter = handle.meter = ComputeMeter()
+        world.services["compute_meter"] = handle.meter
+    if metrics:
+        handle.registry = _world_registry(world, handle.tracer, handle.meter)
+        obs.bind_metrics(handle.registry)
+    return handle

@@ -1,7 +1,8 @@
 """Compute-utilization accounting.
 
-Attach a :class:`ComputeMeter` to a world before launching programs and
-it accumulates the virtual compute time charged on every (host, node) —
+A :class:`ComputeMeter` attached to a world before its programs run
+(``repro.tools.attach(world, meter=True)``) accumulates the virtual
+compute time charged on every (host, node) —
 the basis for utilization reports like "the gradient nodes were 34% busy",
 which is how one diagnoses the Fig-5 flattening.
 """
@@ -44,14 +45,6 @@ class ComputeMeter:
             )
             lines.append(f"  {h:>10}: {total:8.2f} busy-s   {per_node}")
         return "\n".join(lines)
-
-
-def attach_meter(world) -> ComputeMeter:
-    """Install a :class:`ComputeMeter` on a world; every subsequently
-    charged compute interval is recorded."""
-    meter = ComputeMeter()
-    world.services["compute_meter"] = meter
-    return meter
 
 
 def zero_copy_summary(stats) -> str:

@@ -22,28 +22,28 @@ reply      server  reply header + result-fragment injection
 The observer also owns a :class:`~repro.tools.trace.PacketTrace` (every
 packet the transport moves), CDR byte counters and transfer-schedule
 counters fed by this world's ORB (request state machines and fragment
-courier), and — when a
-:class:`~repro.tools.metrics.ComputeMeter` is attached to the same world
-— per-node compute utilization.  One ``world.services["observer"]``
-object therefore answers "where did this request spend its time".
+courier), and — when a :class:`~repro.tools.metrics.ComputeMeter` is
+linked — per-node compute utilization.  One observer therefore answers
+"where did this request spend its time".
 
 Instrumentation is **off by default**: the ORB reaches the observer
 through one seam, ``orb.observer``, and every emit site costs one
-attribute load plus a ``None`` test until :func:`attach_observer` sets
-it.  The observer is not an interceptor; the interceptor chain stays
-empty unless something else registers on it.  The links between the
-instruments of one world (observer, tracer, metrics registry, compute
-meter) do not depend on the order in which they are attached.
+attribute load plus a ``None`` test until
+:func:`repro.tools.attach` sets it.  The observer is not an
+interceptor; the interceptor chain stays empty unless something else
+registers on it.  :func:`~repro.tools.attach` also makes every link
+between the instruments of one world (observer, tracer, metrics
+registry, compute meter).
 
-When a :class:`~repro.tools.tracing.TracingInterceptor` shares the world
-(see :func:`repro.tools.tracing.attach_tracing`), every span is
-annotated with its trace/span/parent ids, :meth:`RequestObserver.
-chrome_trace` emits cross-world *flow* arrows between causally linked
-spans, and :meth:`RequestObserver.trace_tree` renders each trace as an
-indented causal tree with per-hop latency attribution — the stitched
-view of a Fig-5 pipeline the paper reconstructed by hand.  Span and
-packet stores are bounded ring buffers (drops are counted and surfaced
-in :meth:`RequestObserver.report`), and a
+When a :class:`~repro.tools.tracing.TracingInterceptor` is linked
+(``attach(world, tracing=True)``), every span is annotated with its
+trace/span/parent ids, :meth:`RequestObserver.chrome_trace` emits
+cross-world *flow* arrows between causally linked spans, and
+:meth:`RequestObserver.trace_tree` renders each trace as an indented
+causal tree with per-hop latency attribution — the stitched view of a
+Fig-5 pipeline the paper reconstructed by hand.  Span and packet stores
+are bounded ring buffers (drops are counted and surfaced in
+:meth:`RequestObserver.report`), and a
 :class:`~repro.tools.registry.MetricsRegistry` bound via
 ``bind_metrics`` receives per-phase and end-to-end latency histograms.
 
@@ -65,8 +65,6 @@ __all__ = [
     "Span",
     "RequestObserver",
     "TraceSession",
-    "attach_observer",
-    "detach_observer",
     "validate_chrome_trace",
     "CLIENT_PHASES",
     "SERVER_PHASES",
@@ -153,11 +151,12 @@ class RequestObserver:
         self.cdr_bytes = {"encoded": 0, "decoded": 0}
         #: transfer-schedule lookups of this world's fragment courier
         self.transfer = {"schedules": 0, "fragments": 0, "elements": 0}
-        #: the world transport's ZeroCopyStats (set by attach_observer)
+        #: links set by repro.tools.attach: the world transport's
+        #: ZeroCopyStats, its ORB, the tracer and the compute meter
         self.zero_copy = None
-        #: cross-links set by attach_observer / attach_tracing
-        self.tracer = None
         self.orb = None
+        self.tracer = None
+        self.meter = None
         #: spans of not-yet-terminal unsampled requests, held back for the
         #: always-on-error promotion: (req, side, rank) -> [Span, ...]
         self._held: dict[tuple, list] = {}
@@ -338,8 +337,8 @@ class RequestObserver:
         returns a note when no annotated spans exist)."""
         nodes = self._trace_nodes()
         if not nodes:
-            return ("no annotated spans (attach_tracing() before the run "
-                    "to stitch traces)")
+            return ("no annotated spans (attach(world, tracing=True) "
+                    "before the run to stitch traces)")
         children: dict[str, list] = {}
         roots: list[dict] = []
         for node in nodes.values():
@@ -554,63 +553,12 @@ class RequestObserver:
         if len(self.packet_trace):
             lines.append("  " + self.packet_trace.summary()
                          .replace("\n", "\n  "))
-        meter = (self.orb.world.services.get("compute_meter")
-                 if self.orb is not None else None)
-        if meter is not None and meter.busy:
+        if self.meter is not None and self.meter.busy:
             elapsed = max((s.t1 for s in self.spans), default=0.0)
             if elapsed > 0:
-                lines.append("  " + meter.report(elapsed)
+                lines.append("  " + self.meter.report(elapsed)
                              .replace("\n", "\n  "))
         return "\n".join(lines)
-
-
-# ---------------------------------------------------------------------------
-# Attachment
-# ---------------------------------------------------------------------------
-
-
-def attach_observer(world, label: str = "") -> RequestObserver:
-    """Install a :class:`RequestObserver` on a world (before ``run()``).
-
-    Registers it as ``world.services["observer"]`` and as ``orb.observer``
-    (the ORB's one instrumentation seam: spans, request lifecycles, CDR
-    bytes and transfer schedules) and subscribes its packet trace to the
-    transport.  A :class:`~repro.tools.metrics.ComputeMeter` of the same
-    world is read when :meth:`RequestObserver.report` runs, so it may be
-    attached before or after.  Everything it hooks belongs to ``world``:
-    observers of other worlds in the same process never see its counts.
-    """
-    obs = RequestObserver(label=label)
-    world.services["observer"] = obs
-    orb = world.services.get("orb")
-    if orb is not None:
-        obs.orb = orb
-        orb.observer = obs
-    world.transport.observers.append(obs.packet_trace)
-    obs.zero_copy = world.transport.buffer_pool.stats
-    tracer = world.services.get("tracer")
-    if tracer is not None:
-        obs.tracer = tracer
-        tracer.observer = obs
-    registry = world.services.get("metrics")
-    if registry is not None:
-        obs.bind_metrics(registry)
-    return obs
-
-
-def detach_observer(world) -> Optional[RequestObserver]:
-    """Undo :func:`attach_observer`; returns the removed observer."""
-    obs = world.services.pop("observer", None)
-    if obs is None:
-        return None
-    orb = world.services.get("orb")
-    if orb is not None and orb.observer is obs:
-        orb.observer = None
-    try:
-        world.transport.observers.remove(obs.packet_trace)
-    except ValueError:
-        pass
-    return obs
 
 
 # ---------------------------------------------------------------------------
@@ -619,48 +567,43 @@ def detach_observer(world) -> Optional[RequestObserver]:
 
 
 class TraceSession:
-    """Collects observers across several simulation runs and merges them
-    into one Chrome trace / report (used by ``--trace``, ``--trace-tree``
-    and ``--metrics`` in the CLI).  ``tracing=True`` also attaches a
-    :class:`~repro.tools.tracing.TracingInterceptor` to every run (so
-    spans stitch into trees); ``metrics=True`` a per-run
-    :class:`~repro.tools.registry.MetricsRegistry`."""
+    """Instruments every simulation run of an experiment sweep and merges
+    the runs into one Chrome trace / report (used by ``--trace``,
+    ``--trace-tree`` and ``--metrics`` in the CLI).  Every run is
+    attached with tracing on, so spans stitch into trees; ``metrics=True``
+    also gives each run a :class:`~repro.tools.registry.MetricsRegistry`.
+    """
 
-    def __init__(self, tracing: bool = False, metrics: bool = False) -> None:
-        self.tracing = tracing
+    def __init__(self, metrics: bool = False) -> None:
         self.metrics = metrics
-        self.runs: list[RequestObserver] = []
-        self.registries: list[tuple[str, Any]] = []
+        #: one repro.tools.Instruments handle per run, in run order
+        self.handles: list = []
 
-    def attach(self, sim, label: str = "") -> RequestObserver:
-        obs = attach_observer(sim.world, label=label)
-        if self.tracing:
-            from .tracing import attach_tracing
+    def attach(self, sim, label: str = ""):
+        from .instruments import attach
 
-            attach_tracing(sim.world)
-        if self.metrics:
-            from .registry import attach_metrics
-
-            self.registries.append((label, attach_metrics(sim.world)))
-        self.runs.append(obs)
-        return obs
+        handle = attach(sim.world, tracing=True, metrics=self.metrics,
+                        label=label)
+        self.handles.append(handle)
+        return handle
 
     def chrome_trace(self) -> dict:
         events: list[dict] = []
-        for i, obs in enumerate(self.runs):
-            events.extend(obs._chrome_events(pid_base=1 + i * 1000))
+        for i, handle in enumerate(self.handles):
+            events.extend(handle.observer._chrome_events(
+                pid_base=1 + i * 1000))
         return {"traceEvents": events, "displayTimeUnit": "ms"}
 
     def report(self) -> str:
-        return "\n\n".join(obs.report() for obs in self.runs)
+        return "\n\n".join(h.observer.report() for h in self.handles)
 
     def trace_trees(self) -> str:
         """Stitched causal trees of every run that produced one."""
         blocks = []
-        for obs in self.runs:
-            tree = obs.trace_tree()
+        for handle in self.handles:
+            obs = handle.observer
             head = f"[{obs.label}]\n" if obs.label else ""
-            blocks.append(head + tree)
+            blocks.append(head + obs.trace_tree())
         return "\n\n".join(blocks)
 
     def write(self, path: str) -> None:
@@ -671,18 +614,17 @@ class TraceSession:
         """Export every run's registry: ``.prom`` gets concatenated
         Prometheus text (a ``run`` label distinguishes runs), anything
         else a JSON object keyed by run label."""
+        runs = [(h.observer.label or str(i), h.registry)
+                for i, h in enumerate(self.handles) if h.registry is not None]
         if path.endswith(".prom"):
-            text = "".join(
-                reg.prometheus_text(extra_labels={"run": label or str(i)})
-                for i, (label, reg) in enumerate(self.registries)
-            )
+            text = "".join(reg.prometheus_text(extra_labels={"run": label})
+                           for label, reg in runs)
             with open(path, "w") as fh:
                 fh.write(text)
             return
-        payload = {label or str(i): reg.snapshot()
-                   for i, (label, reg) in enumerate(self.registries)}
         with open(path, "w") as fh:
-            json.dump(payload, fh, indent=1)
+            json.dump({label: reg.snapshot() for label, reg in runs}, fh,
+                      indent=1)
 
 
 # ---------------------------------------------------------------------------

@@ -17,14 +17,14 @@ Two feeding models coexist:
   so the hot paths keep their cheap ``+= 1`` attributes and pay nothing
   for the registry.
 
-:func:`attach_metrics` wires a world's standard sources — ORB request
-and dead-letter counters, transport packet/byte totals, the buffer
-pool's :class:`~repro.cdr.buffers.ZeroCopyStats`, a
-:class:`~repro.tools.metrics.ComputeMeter`, the
+:func:`repro.tools.attach` with ``metrics=True`` wires a world's
+standard sources into one registry — ORB request and dead-letter
+counters, transport packet/byte totals, the buffer pool's
+:class:`~repro.cdr.buffers.ZeroCopyStats`, the admission and replica
+counters, a :class:`~repro.tools.metrics.ComputeMeter`, the
+:class:`~repro.tools.tracing.TracingInterceptor` counters and the
 :class:`~repro.tools.observe.RequestObserver` (which also starts pushing
-latency histograms), and the
-:class:`~repro.tools.tracing.TracingInterceptor` counters — into one
-registry published as ``world.services["metrics"]``.
+latency histograms).
 
 The exporters round-trip: ``parse_prometheus_text(reg.prometheus_text())
 == flatten_snapshot(reg.snapshot())`` and
@@ -44,7 +44,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "attach_metrics",
     "flatten_snapshot",
     "parse_prometheus_text",
 ]
@@ -354,17 +353,14 @@ def parse_prometheus_text(text: str) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def attach_metrics(world) -> MetricsRegistry:
-    """Install a :class:`MetricsRegistry` on a world as
-    ``world.services["metrics"]`` and wire every standard source into it
-    (pull-model collectors for the native counters, push-model latency
-    histograms on the observer).  The compute-meter and tracer
-    collectors look their source up in ``world.services`` at collection
-    time, and :func:`~repro.tools.observe.attach_observer` binds a
-    registry attached before it, so attach order does not matter."""
+def _world_registry(world, tracer=None, meter=None) -> MetricsRegistry:
+    """A registry with pull-model collectors over ``world``'s ORB,
+    transport and buffer pool, and over ``tracer`` and ``meter`` when
+    given (the observer binds itself afterwards, see
+    :meth:`~repro.tools.observe.RequestObserver.bind_metrics`).  Called
+    by :func:`repro.tools.attach`, which makes every link."""
     reg = MetricsRegistry()
-    services = world.services
-    services["metrics"] = reg
+    orb = world.services["orb"]
     transport = world.transport
 
     packets = reg.counter("pardis_transport_packets_total",
@@ -387,105 +383,95 @@ def attach_metrics(world) -> MetricsRegistry:
         for field, value in zc_stats.snapshot().items():
             zc.labels(counter=field).set(value)
 
-    orb = services.get("orb")
-    if orb is not None:
-        requests = reg.counter("pardis_requests_total",
-                               "invocations issued on this world",
-                               ("kind",))
-        dead = reg.counter("pardis_dead_fragments_total",
-                           "orphaned fragments dead-lettered", ("kind",))
-        swallowed = reg.counter(
-            "pardis_interceptor_errors_total",
-            "exceptions raised by interceptors and swallowed by the chain",
-            ("point",))
-
-        @reg.register_collector
-        def _collect_orb() -> None:
-            requests.labels(kind="remote").set(orb.requests_sent)
-            requests.labels(kind="local_bypass").set(orb.local_bypasses)
-            dead.labels(kind="arg").set(orb.dead_fragments)
-            dead.labels(kind="result").set(orb.dead_result_fragments)
-            swallowed.labels(point="finish_request").set(
-                orb.interceptors.finish_request_errors)
-
-    if orb is not None:
-        # Services layer (repro.services): admission controllers register
-        # themselves on the ORB as POAs enable them, and replica groups
-        # are created lazily on first policy bind — so both collectors
-        # iterate the live lists at snapshot time instead of at attach.
-        admission = reg.counter(
-            "pardis_admission_requests_total",
-            "admission-control outcomes per server program",
-            ("program", "outcome"))
-        queue_depth = reg.gauge(
-            "pardis_admission_queue_depth",
-            "currently queued requests per admission-controlled program",
-            ("program",))
-        queue_wait = reg.gauge(
-            "pardis_admission_wait_seconds_total",
-            "total virtual seconds served requests spent queued",
-            ("program",))
-
-        @reg.register_collector
-        def _collect_admission() -> None:
-            for adm in orb.admission_controllers:
-                prog = adm.program_name or "unattached"
-                admission.labels(program=prog, outcome="accepted").set(
-                    adm.accepted)
-                admission.labels(program=prog, outcome="shed").set(adm.shed)
-                admission.labels(program=prog, outcome="served").set(
-                    adm.served)
-                queue_depth.labels(program=prog).set(adm.queue_depth)
-                queue_wait.labels(program=prog).set(adm.total_wait)
-
-        replica_events = reg.counter(
-            "pardis_replica_events_total",
-            "replica-group health/failover events per object name",
-            ("object", "event"))
-        replica_load = reg.gauge(
-            "pardis_replica_load",
-            "last reported load fraction per replica program id",
-            ("object", "program_id"))
-
-        @reg.register_collector
-        def _collect_replicas() -> None:
-            for (_, name), group in orb._replica_groups.items():
-                replica_events.labels(object=name, event="failover").set(
-                    group.failovers)
-                replica_events.labels(object=name, event="suspect").set(
-                    group.suspects)
-                replica_events.labels(object=name, event="dead").set(
-                    group.deaths)
-                replica_events.labels(object=name, event="reactivation").set(
-                    group.reactivations)
-                replica_events.labels(object=name, event="selection").set(
-                    group.selections)
-                for pid, load in group.known_loads().items():
-                    replica_load.labels(object=name, program_id=pid).set(load)
+    requests = reg.counter("pardis_requests_total",
+                           "invocations issued on this world", ("kind",))
+    dead = reg.counter("pardis_dead_fragments_total",
+                       "orphaned fragments dead-lettered", ("kind",))
+    swallowed = reg.counter(
+        "pardis_interceptor_errors_total",
+        "exceptions raised by interceptors and swallowed by the chain",
+        ("point",))
 
     @reg.register_collector
-    def _collect_meter() -> None:
-        meter = services.get("compute_meter")
-        if meter is None:
-            return
+    def _collect_orb() -> None:
+        requests.labels(kind="remote").set(orb.requests_sent)
+        requests.labels(kind="local_bypass").set(orb.local_bypasses)
+        dead.labels(kind="arg").set(orb.dead_fragments)
+        dead.labels(kind="result").set(orb.dead_result_fragments)
+        swallowed.labels(point="finish_request").set(
+            orb.interceptors.finish_request_errors)
+
+    # Services layer (repro.services): admission controllers register
+    # themselves on the ORB as POAs enable them, and replica groups are
+    # created lazily on first policy bind — so both collectors iterate
+    # the live lists at snapshot time instead of at attach.
+    admission = reg.counter(
+        "pardis_admission_requests_total",
+        "admission-control outcomes per server program",
+        ("program", "outcome"))
+    queue_depth = reg.gauge(
+        "pardis_admission_queue_depth",
+        "currently queued requests per admission-controlled program",
+        ("program",))
+    queue_wait = reg.gauge(
+        "pardis_admission_wait_seconds_total",
+        "total virtual seconds served requests spent queued",
+        ("program",))
+
+    @reg.register_collector
+    def _collect_admission() -> None:
+        for adm in orb.admission_controllers:
+            prog = adm.program_name or "unattached"
+            admission.labels(program=prog, outcome="accepted").set(
+                adm.accepted)
+            admission.labels(program=prog, outcome="shed").set(adm.shed)
+            admission.labels(program=prog, outcome="served").set(adm.served)
+            queue_depth.labels(program=prog).set(adm.queue_depth)
+            queue_wait.labels(program=prog).set(adm.total_wait)
+
+    replica_events = reg.counter(
+        "pardis_replica_events_total",
+        "replica-group health/failover events per object name",
+        ("object", "event"))
+    replica_load = reg.gauge(
+        "pardis_replica_load",
+        "last reported load fraction per replica program id",
+        ("object", "program_id"))
+
+    @reg.register_collector
+    def _collect_replicas() -> None:
+        for (_, name), group in orb._replica_groups.items():
+            replica_events.labels(object=name, event="failover").set(
+                group.failovers)
+            replica_events.labels(object=name, event="suspect").set(
+                group.suspects)
+            replica_events.labels(object=name, event="dead").set(
+                group.deaths)
+            replica_events.labels(object=name, event="reactivation").set(
+                group.reactivations)
+            replica_events.labels(object=name, event="selection").set(
+                group.selections)
+            for pid, load in group.known_loads().items():
+                replica_load.labels(object=name, program_id=pid).set(load)
+
+    if meter is not None:
         busy = reg.gauge("pardis_compute_busy_seconds",
                          "virtual compute seconds charged per node",
                          ("host", "node"))
-        for (host, node), seconds in meter.busy.items():
-            busy.labels(host=host, node=node).set(seconds)
 
-    @reg.register_collector
-    def _collect_tracer() -> None:
-        tracer = services.get("tracer")
-        if tracer is None:
-            return
+        @reg.register_collector
+        def _collect_meter() -> None:
+            for (host, node), seconds in meter.busy.items():
+                busy.labels(host=host, node=node).set(seconds)
+
+    if tracer is not None:
         trace_events = reg.counter("pardis_trace_events_total",
                                    "tracing interceptor event counters",
                                    ("event",))
-        for event, value in tracer.counters.items():
-            trace_events.labels(event=event).set(value)
 
-    obs = services.get("observer")
-    if obs is not None:
-        obs.bind_metrics(reg)
+        @reg.register_collector
+        def _collect_tracer() -> None:
+            for event, value in tracer.counters.items():
+                trace_events.labels(event=event).set(value)
+
     return reg

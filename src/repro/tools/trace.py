@@ -1,9 +1,11 @@
 """Packet tracing for simulated PARDIS deployments.
 
-Attach a :class:`PacketTrace` to a world's transport to record every
-message (send time, arrival, endpoints, tag class, bytes), then query per
-link/tag summaries or render a text timeline — the observability layer a
-1997 paper collected with printf.
+A :class:`PacketTrace` subscribed to a world's transport records every
+message (send time, arrival, endpoints, tag class, bytes), then answers
+per link/tag summaries or renders a text timeline — the observability
+layer a 1997 paper collected with printf.  Every
+:class:`~repro.tools.observe.RequestObserver` owns one
+(``repro.tools.attach(world).observer.packet_trace``).
 
 Record storage is a bounded :class:`RingBuffer` (default 64k records):
 long simulations keep the most recent window instead of growing without
@@ -16,7 +18,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional
 
-from ..netsim import Packet, Transport
+from ..netsim import Packet
 from ..runtime.tags import (
     PARDIS_TAG_BASE,
     TAG_ARG_FRAGMENT,
@@ -175,11 +177,3 @@ class PacketTrace:
                 lines.append("...")
                 break
         return "\n".join(lines)
-
-
-def attach_tracer(transport: Transport) -> PacketTrace:
-    """Subscribe a new :class:`PacketTrace` to a transport; returns it.
-    Every trace attached to one transport records every packet."""
-    trace = PacketTrace()
-    transport.observers.append(trace)
-    return trace

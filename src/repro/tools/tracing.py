@@ -38,10 +38,11 @@ observer and promoted to the permanent store when their request fails.
 
 The interceptor implements only the interception points.  Spans are
 recorded by the world's observer, which the ORB feeds through
-``orb.observer`` rather than the chain, so registering tracing alone
-leaves the per-request span machinery dormant; that is what keeps the
-benchmark-enforced overhead budget (≤5 % vs the empty chain, see
-``benchmarks/bench_infrastructure.py``).
+``orb.observer`` rather than the chain; ``repro.tools.attach(world,
+tracing=True)`` installs both and links them.  A bare interceptor
+registered on the chain leaves the per-request span machinery dormant;
+that is what keeps the benchmark-enforced overhead budget (≤5 % vs the
+empty chain, see ``benchmarks/bench_infrastructure.py``).
 """
 
 from __future__ import annotations
@@ -62,8 +63,6 @@ __all__ = [
     "TraceContext",
     "HeadSampling",
     "TracingInterceptor",
-    "attach_tracing",
-    "detach_tracing",
 ]
 
 #: SimThread-local key holding the stack of open trace scopes
@@ -154,7 +153,7 @@ class TracingInterceptor(RequestInterceptor):
         self.capacity = capacity
         #: (req str, "client"|"server") -> TraceContext, bounded FIFO
         self._by_req: dict[tuple, TraceContext] = {}
-        #: cross-link to the world's RequestObserver (set by attach)
+        #: link to the world's RequestObserver (set by repro.tools.attach)
         self.observer = None
         self.counters = {
             "traces_started": 0,     # roots created on this world
@@ -283,46 +282,3 @@ class TracingInterceptor(RequestInterceptor):
             self.observer._resolve_trace(str(info.req_id), "server",
                                          info.ctx.rank,
                                          info.exception is not None)
-
-
-# ---------------------------------------------------------------------------
-# Attachment
-# ---------------------------------------------------------------------------
-
-
-def attach_tracing(world, sampler: Optional[HeadSampling] = None,
-                   always_on_error: bool = True) -> TracingInterceptor:
-    """Install a :class:`TracingInterceptor` on a world (before ``run()``).
-
-    Registers it on the ORB's interceptor chain, publishes it as
-    ``world.services["tracer"]``, and cross-links it with a previously
-    attached :class:`~repro.tools.observe.RequestObserver` so spans gain
-    trace/span/parent ids (attachment order doesn't matter — whichever
-    attaches second completes the link).
-    """
-    tracer = TracingInterceptor(sampler=sampler,
-                                always_on_error=always_on_error)
-    world.services["tracer"] = tracer
-    orb = world.services.get("orb")
-    if orb is not None:
-        orb.register_interceptor(tracer)
-    obs = world.services.get("observer")
-    if obs is not None:
-        obs.tracer = tracer
-        tracer.observer = obs
-    return tracer
-
-
-def detach_tracing(world) -> Optional[TracingInterceptor]:
-    """Undo :func:`attach_tracing`; returns the removed tracer."""
-    tracer = world.services.pop("tracer", None)
-    if tracer is None:
-        return None
-    orb = world.services.get("orb")
-    if orb is not None and tracer in orb.interceptors:
-        orb.unregister_interceptor(tracer)
-    obs = world.services.get("observer")
-    if obs is not None and getattr(obs, "tracer", None) is tracer:
-        obs.tracer = None
-    tracer.observer = None
-    return tracer

@@ -124,7 +124,7 @@ class TestDynamicInvocation:
 
 class TestTracing:
     def test_packet_trace_records_protocol_classes(self, mod):
-        from repro.tools import attach_tracer
+        from repro.tools import attach
 
         sim = Simulation()
 
@@ -140,7 +140,7 @@ class TestTracing:
             ctx.poa.impl_is_ready()
 
         sim.server(server_main, host="HOST_2", nprocs=1)
-        trace = attach_tracer(sim.world.transport)
+        trace = attach(sim.world).observer.packet_trace
 
         def client(ctx):
             p = mod.mathsvc._bind("mathsvc")

@@ -3,12 +3,12 @@
 import pytest
 
 from repro.core import Simulation
-from repro.tools import ComputeMeter, attach_meter
+from repro.tools import ComputeMeter, attach
 
 
 def test_meter_accumulates_per_node():
     sim = Simulation()
-    meter = attach_meter(sim.world)
+    meter = attach(sim.world, meter=True).meter
 
     def main(ctx):
         ctx.compute(1.0 + ctx.rank)
@@ -24,7 +24,7 @@ def test_meter_accumulates_per_node():
 
 def test_meter_report_format():
     sim = Simulation()
-    meter = attach_meter(sim.world)
+    meter = attach(sim.world, meter=True).meter
     sim.client(lambda ctx: ctx.compute(0.5), host="HOST_1")
     sim.run()
     report = meter.report(0.5)
@@ -48,7 +48,7 @@ def test_pipeline_utilization_diagnoses_flattening():
     utils = {}
     for procs in (1, 8):
         sim = Simulation(network=_network())
-        meter = attach_meter(sim.world)
+        meter = attach(sim.world, meter=True).meter
         sim.server(visualizer_server_main, host="SGI_PC", nprocs=1,
                    node_offset=9, args=("diff_visualizer",))
         reports = {}

@@ -18,6 +18,7 @@ from repro.core import (
     SystemException,
 )
 from repro.idl import compile_idl
+from repro.tools import attach
 
 IDL = """
     typedef dsequence<double, 100000> vec;
@@ -639,7 +640,7 @@ def test_local_bypass_nonblocking_failure_fails_futures(mod):
 
 def test_local_bypass_failure_reaches_observer(mod):
     sim = Simulation()
-    obs = sim.attach_observer()
+    obs = attach(sim.world).observer
     out = {}
 
     def body(ctx, srv):
@@ -673,7 +674,7 @@ def test_cached_schedule_memoizes_and_notifies_observer(mod):
     # The courier reports every lookup to its world's observer: the
     # second identical request hits the cache and still counts.
     sim = build(mod)
-    obs = sim.attach_observer()
+    obs = attach(sim.world).observer
     counts = []
 
     def client(ctx):
@@ -762,13 +763,12 @@ def test_swallowed_finish_request_errors_are_counted(mod):
     """Each exception a finish_request hook raises is swallowed and
     counted on the chain, in the observer report and in the metrics
     registry; every request still resolves."""
-    from repro.tools import attach_metrics
     from repro.tools.registry import flatten_snapshot
 
     sim = build(mod)
     rec = sim.register_interceptor(FinishRecorder(raise_in_finish=True))
-    obs = sim.attach_observer()
-    reg = attach_metrics(sim.world)
+    handle = attach(sim.world, metrics=True)
+    obs, reg = handle.observer, handle.registry
     out = []
 
     def client(ctx):

@@ -104,13 +104,14 @@ def test_virtual_times_match_golden(results, experiment):
 def test_every_instrument_leaves_the_figures_unchanged():
     """Observation must not change the answer: with an observer, tracing
     and a metrics registry on every run, the figures match the golden."""
-    session = TraceSession(tracing=True, metrics=True)
+    session = TraceSession(metrics=True)
     figures = collect_figures(session)
     golden = json.loads(GOLDEN.read_text())
     assert figures == {name: golden[name] for name in figures}
-    assert len(session.registries) == len(session.runs) > 0
-    assert all(len(obs) > 0 and obs.cdr_bytes["encoded"] > 0
-               for obs in session.runs)
+    assert session.handles
+    assert all(h.registry is not None for h in session.handles)
+    assert all(len(h.observer) > 0 and h.observer.cdr_bytes["encoded"] > 0
+               for h in session.handles)
 
 
 if __name__ == "__main__":  # pragma: no cover - regeneration helper

@@ -199,11 +199,11 @@ class TestAdmissionEndToEnd:
         assert paced["shed"] < plain["shed"]
 
     def test_shed_span_and_admission_metrics(self, mod):
-        from repro.tools import attach_metrics
+        from repro.tools import attach
 
         sim, _, results, _ = _overloaded(mod, n_clients=4, capacity=1)
-        obs = sim.attach_observer()
-        reg = attach_metrics(sim.world)
+        handle = attach(sim.world, metrics=True)
+        obs, reg = handle.observer, handle.registry
         sim.run()
         assert results["shed"] > 0
         assert "shed" in {s.phase for s in obs.spans}

@@ -12,6 +12,7 @@ from repro.core import (
 )
 from repro.idl import compile_idl
 from repro.services import DEAD, SUSPECT
+from repro.tools import attach
 
 IDL = """
     interface failsvc {
@@ -70,7 +71,7 @@ class TestFailover:
         the group marks the replica dead, the binding fails over to the
         survivor, and every accepted request still returns its result."""
         sim = Simulation(config=OrbConfig(request_timeout=0.05))
-        obs = sim.attach_observer()
+        obs = attach(sim.world).observer
         dying_log, steady_log = [], []
         # The dying replica registers first, so round-robin binds to it.
         sim.server(dying_server(mod, "dup", dying_log, serve=2),

@@ -401,6 +401,18 @@ def test_deadlock_lists_every_blocked_thread():
     assert not _sim_os_threads(k)
 
 
+def test_deadlock_before_until_leaves_no_threads():
+    """A deadlock ends the run whatever ``until`` is, so no OS thread may
+    stay parked for the life of the process."""
+    k = SimKernel()
+    k.spawn(lambda: k.block("never woken"), name="stuck-until")
+    with pytest.raises(DeadlockError, match="never woken"):
+        k.run(until=5.0)
+    assert not _sim_os_threads(k)
+    assert not [t for t in threading.enumerate()
+                if t.name == "sim:stuck-until"]
+
+
 def test_daemons_killed_when_last_non_daemon_finishes():
     k = SimKernel()
     ticks = []

@@ -1,31 +1,24 @@
-"""Attaching instruments to a world: one seam per layer, any order.
+"""Instrumenting a world: one ``attach`` makes every link, one
+``detach`` undoes them.
 
 The observer is reached only through ``orb.observer`` (never the
-interceptor chain), packet traces all subscribe to
-``transport.observers``, and every cross-link between instruments is made
-when it is used, so the order of attachment cannot change the result.
+interceptor chain), its packet trace subscribes to
+``transport.observers``, and the tracer, registry and meter are linked to
+it by ``attach`` itself, so every flag combination gives the same
+results for what it shares.
 """
 
-from itertools import permutations
+from itertools import product
 
 import pytest
 
 from repro.core import OrbConfig, Simulation, TransientException
 from repro.idl import compile_idl
 from repro.services import AdmissionController
-from repro.tools import attach_meter, attach_metrics, attach_tracer
-from repro.tools.observe import attach_observer
-from repro.tools.tracing import attach_tracing
+from repro.tools import attach
 
 MOD = compile_idl("interface seam { long echo(in long x); };",
                   module_name="attachment_stubs")
-
-ATTACH = {
-    "observer": attach_observer,
-    "tracing": attach_tracing,
-    "metrics": attach_metrics,
-    "meter": attach_meter,
-}
 
 
 def _servant(ctx, log=None):
@@ -64,43 +57,83 @@ def _utilization(report: str) -> list[str]:
     return lines[start:]
 
 
-def _observe_in_order(order):
+def test_every_flag_combination_links_its_instruments():
+    utilization, shared_families = None, set()
+    for tracing, metrics, meter in product((False, True), repeat=3):
+        flags = dict(tracing=tracing, metrics=metrics, meter=meter)
+        sim = _echo_world()
+        handle = attach(sim.world, **flags)
+        sim.run()
+        obs = handle.observer
+        assert len(obs.spans) > 0, flags
+        assert (handle.tracer is not None) == tracing, flags
+        assert (handle.registry is not None) == metrics, flags
+        assert (handle.meter is not None) == meter, flags
+        assert all(bool(s.trace_id) == tracing for s in obs.spans), flags
+        if metrics:
+            families = set(handle.registry.snapshot())
+            optional = {"pardis_trace_events_total": tracing,
+                        "pardis_compute_busy_seconds": meter}
+            assert "pardis_phase_seconds" in families, flags
+            assert {name for name, on in optional.items()
+                    if on} <= families, flags
+            assert not {name for name, on in optional.items()
+                        if not on} & families, flags
+            shared_families.add(frozenset(families - set(optional)))
+        if meter:
+            lines = _utilization(obs.report())
+            if utilization is None:
+                utilization = lines
+            assert lines == utilization, flags
+        else:
+            assert "compute utilization" not in obs.report(), flags
+    assert utilization is not None
+    assert len(shared_families) == 1
+
+
+def test_observer_packet_trace_records_every_packet():
     sim = _echo_world()
-    for name in order:
-        ATTACH[name](sim.world)
-    sim.run()
-    services = sim.world.services
-    obs = services["observer"]
-    families = set(services["metrics"].snapshot())
-    return obs, families
-
-
-def test_attach_order_does_not_change_results():
-    orders = list(permutations(ATTACH))
-    assert len(orders) == 24
-    reference = None
-    for order in orders:
-        obs, families = _observe_in_order(order)
-        assert {"pardis_trace_events_total",
-                "pardis_compute_busy_seconds",
-                "pardis_phase_seconds"} <= families, order
-        utilization = _utilization(obs.report())
-        assert len(obs.spans) > 0
-        assert all(s.trace_id for s in obs.spans), order
-        if reference is None:
-            reference = (families, utilization)
-        assert (families, utilization) == reference, order
-
-
-def test_packet_traces_and_observer_record_every_packet():
-    sim = _echo_world()
-    first = attach_tracer(sim.world.transport)
-    obs = attach_observer(sim.world)
-    second = attach_tracer(sim.world.transport)
+    obs = attach(sim.world).observer
+    assert sim.world.transport.observers == [obs.packet_trace]
     sim.run()
     sent = sim.world.transport.packets_sent
     assert sent > 0
-    assert len(first) == len(second) == len(obs.packet_trace) == sent
+    assert len(obs.packet_trace) == sent
+
+
+def test_detach_undoes_every_link():
+    sim = _echo_world(requests=10)
+    handle = attach(sim.world, tracing=True, metrics=True, meter=True)
+    obs, tracer = handle.observer, handle.tracer
+    sim.run(until=0.01)  # about half of the requests
+    indexed, started = len(tracer._by_req), len(obs.requests)
+    assert indexed > 0 and started > 0
+    handle.detach()
+    orb = sim.orb
+    assert orb.observer is None
+    assert sim.world.transport.observers == []
+    assert tracer not in orb.interceptors and len(orb.interceptors) == 0
+    assert tracer.observer is None and obs.tracer is None
+    assert "observer" not in sim.world.services
+    assert "compute_meter" not in sim.world.services
+    # The rest of the run reaches none of the instruments: a request in
+    # flight at detach may finish its spans, but no new one is seen.
+    sim.run()
+    assert sim.world.transport.packets_sent > len(obs.packet_trace)
+    assert len(tracer._by_req) == indexed
+    assert len(obs.requests) == started
+    handle.detach()  # idempotent
+
+
+def test_second_attach_raises():
+    sim = _echo_world()
+    handle = attach(sim.world)
+    with pytest.raises(ValueError, match="already instrumented"):
+        attach(sim.world, tracing=True)
+    assert sim.orb.observer is handle.observer
+    assert sim.world.transport.observers == [handle.observer.packet_trace]
+    handle.detach()
+    assert attach(sim.world).observer is not handle.observer
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +200,7 @@ def _failover_world(sim):
 ], ids=["local", "shed", "failover"])
 def test_observer_alone_leaves_chain_empty(phase, build, config):
     sim = Simulation(config=config)
-    obs = sim.attach_observer()
+    obs = attach(sim.world).observer
     chain = sim.orb.interceptors
     assert len(chain) == 0 and not chain.active
     build(sim)

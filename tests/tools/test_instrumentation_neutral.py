@@ -10,10 +10,7 @@ import pytest
 from repro.core import OrbConfig, Simulation
 from repro.idl import compile_idl
 from repro.services import ThrottleInterceptor
-from repro.tools import attach_tracer
-from repro.tools.observe import attach_observer, detach_observer
-from repro.tools.registry import attach_metrics
-from repro.tools.tracing import attach_tracing
+from repro.tools import PacketTrace, TracingInterceptor, attach
 
 MOD = compile_idl("interface g { long echo(in long x); };",
                   module_name="neutral_echo_stubs")
@@ -23,28 +20,34 @@ def _idle_throttle(world):
     world.services["orb"].register_interceptor(ThrottleInterceptor(seed=0))
 
 
+def _bare_tracer(world):
+    world.services["orb"].register_interceptor(TracingInterceptor())
+
+
+def _packet_trace(world):
+    world.transport.observers.append(PacketTrace())
+
+
 def _everything(world):
-    attach_observer(world)
-    attach_tracing(world)
-    attach_metrics(world)
-    attach_tracer(world.transport)
+    attach(world, tracing=True, metrics=True, meter=True)
+    _packet_trace(world)
     _idle_throttle(world)
 
 
 INSTRUMENTS = {
-    "observer": attach_observer,
-    "tracing": attach_tracing,
-    "metrics": attach_metrics,
-    "packet-trace": lambda world: attach_tracer(world.transport),
+    "observer": attach,
+    "tracing": _bare_tracer,
+    "metrics": lambda world: attach(world, metrics=True),
+    "packet-trace": _packet_trace,
     "idle-throttle": _idle_throttle,
     "everything": _everything,
 }
 
 
-def _echo_end_time(attach=None, n=50):
+def _echo_end_time(install=None, n=50):
     sim = Simulation(config=OrbConfig(max_outstanding=4))
-    if attach is not None:
-        attach(sim.world)
+    if install is not None:
+        install(sim.world)
 
     def server_main(ctx):
         class Impl(MOD.g_skel):
@@ -61,10 +64,7 @@ def _echo_end_time(attach=None, n=50):
 
     sim.server(server_main, host="HOST_2", nprocs=1)
     sim.client(client, host="HOST_1")
-    try:
-        return sim.run()
-    finally:
-        detach_observer(sim.world)
+    return sim.run()
 
 
 def test_plain_run_reaches_a_real_virtual_time():

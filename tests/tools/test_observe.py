@@ -6,9 +6,10 @@ import pytest
 from repro.core import Simulation
 from repro.idl import compile_idl
 from repro.tools import (
+    Instruments,
     RequestObserver,
     TraceSession,
-    detach_observer,
+    attach,
     validate_chrome_trace,
 )
 from repro.tools.observe import CLIENT_PHASES, SERVER_PHASES, Span
@@ -30,7 +31,7 @@ def mod():
 def build_stats_world(mod, nprocs=2, requests=3, observe=True):
     """A stats server and an SPMD client in one world, not yet run."""
     sim = Simulation()
-    obs = sim.attach_observer(label="t") if observe else None
+    obs = attach(sim.world, label="t").observer if observe else None
 
     def server_main(ctx):
         class Impl(mod.stats_skel):
@@ -131,10 +132,12 @@ class TestObserverEndToEnd:
     def test_detach_restores_globals(self, mod):
         """Detach restores the world's blackboard (``world.services``) and
         every hook attach set; no process-global hook exists."""
-        sim, obs, _out = run_observed(mod)
+        sim, _obs, _out = build_stats_world(mod, observe=False)
+        handle = attach(sim.world)
+        obs = handle.observer
+        sim.run()
         assert sim.orb.observer is obs
-        removed = detach_observer(sim.world)
-        assert removed is obs
+        handle.detach()
         assert sim.orb.observer is None
         assert "observer" not in sim.world.services
         assert obs.packet_trace not in sim.world.transport.observers
@@ -173,7 +176,7 @@ class TestWorldIsolation:
 
         def build(observe):
             sim = Simulation()
-            obs = sim.attach_observer() if observe else None
+            obs = attach(sim.world).observer if observe else None
 
             def main(ctx):
                 n = 40
@@ -237,7 +240,7 @@ class TestTraceSession:
         for i in range(2):
             obs = RequestObserver(label=f"run{i}")
             obs.span("marshal", "op", f"r{i}", "prog", 0, 0.0, 1e-6)
-            session.runs.append(obs)
+            session.handles.append(Instruments(obs))
         trace = session.chrome_trace()
         validate_chrome_trace(trace, require_phases=("marshal",))
         pids = {ev["pid"] for ev in trace["traceEvents"]}
@@ -247,7 +250,7 @@ class TestTraceSession:
         session = TraceSession()
         obs = RequestObserver()
         obs.span("compute", "op", "r", "prog", 0, 0.0, 2.0)
-        session.runs.append(obs)
+        session.handles.append(Instruments(obs))
         path = tmp_path / "trace.json"
         session.write(str(path))
         import json

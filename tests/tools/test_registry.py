@@ -159,15 +159,12 @@ def test_float_values_round_trip_exactly():
 def test_attach_metrics_collects_all_layers():
     from repro.core import Simulation
     from repro.idl import compile_idl
-    from repro.tools import attach_metrics, attach_observer, attach_tracing
+    from repro.tools import attach
 
     mod = compile_idl("interface m { long echo(in long x); };",
                       module_name="registry_attach_stubs")
     sim = Simulation()
-    attach_observer(sim.world)
-    attach_tracing(sim.world)
-    reg = attach_metrics(sim.world)
-    assert sim.world.services["metrics"] is reg
+    reg = attach(sim.world, tracing=True, metrics=True).registry
 
     def server_main(ctx):
         class Impl(mod.m_skel):

@@ -15,9 +15,8 @@ from repro.tools import (
     TRACE_CONTEXT,
     HeadSampling,
     TraceContext,
-    attach_observer,
-    attach_tracing,
-    detach_tracing,
+    TracingInterceptor,
+    attach,
 )
 from repro.core.pipeline import RequestInterceptor
 
@@ -84,7 +83,7 @@ class WireProbe(RequestInterceptor):
 
 def test_wire_context_round_trip(mod):
     sim = build_chain(mod)
-    tracer = attach_tracing(sim.world)
+    tracer = sim.register_interceptor(TracingInterceptor())
     probe = sim.register_interceptor(WireProbe())
     out = {}
 
@@ -115,8 +114,7 @@ def test_wire_context_round_trip(mod):
 
 def test_nested_invocation_stitches_one_tree(mod):
     sim = build_chain(mod)
-    obs = attach_observer(sim.world)
-    attach_tracing(sim.world)
+    obs = attach(sim.world, tracing=True).observer
     out = {}
 
     def client(ctx):
@@ -161,8 +159,7 @@ def test_spmd_fanout_shares_one_logical_span(mod):
         ctx.poa.impl_is_ready()
 
     sim.server(back_main, host="HOST_2", nprocs=3, name="backworld")
-    obs = attach_observer(sim.world)
-    attach_tracing(sim.world)
+    obs = attach(sim.world, tracing=True).observer
     results = {}
 
     def client(ctx):
@@ -197,8 +194,8 @@ def test_local_bypass_frames_scope_and_stitches_downstream(mod):
         ctx.poa.impl_is_ready()
 
     sim.server(back_main, host="HOST_2", nprocs=1, name="backworld")
-    obs = attach_observer(sim.world)
-    tracer = attach_tracing(sim.world)
+    handle = attach(sim.world, tracing=True)
+    obs, tracer = handle.observer, handle.tracer
     out = {}
 
     def prog(ctx):
@@ -233,8 +230,7 @@ def test_local_bypass_frames_scope_and_stitches_downstream(mod):
 
 def test_servant_failure_keeps_trace_context(mod):
     sim = build_chain(mod)
-    obs = attach_observer(sim.world)
-    attach_tracing(sim.world)
+    obs = attach(sim.world, tracing=True).observer
 
     def client(ctx):
         srv = mod.front._bind("front")
@@ -252,8 +248,8 @@ def test_unsampled_trace_promoted_on_error(mod):
     """Head-based sampling at rate 0 records nothing for successes but
     promotes the buffered spans of a failing request."""
     sim = build_chain(mod)
-    obs = attach_observer(sim.world)
-    attach_tracing(sim.world, sampler=HeadSampling(0.0))
+    obs = attach(sim.world, tracing=True,
+                 sampler=HeadSampling(0.0)).observer
 
     def client(ctx):
         srv = mod.front._bind("front")
@@ -274,9 +270,8 @@ def test_unsampled_trace_promoted_on_error(mod):
 
 def test_unsampled_traces_discarded_without_promotion(mod):
     sim = build_chain(mod)
-    obs = attach_observer(sim.world)
-    attach_tracing(sim.world, sampler=HeadSampling(0.0),
-                   always_on_error=False)
+    obs = attach(sim.world, tracing=True, sampler=HeadSampling(0.0),
+                 always_on_error=False).observer
 
     def client(ctx):
         srv = mod.front._bind("front")
@@ -295,11 +290,11 @@ def test_coexists_with_deadline_shedding(mod, tracer_first):
     scope, whichever side of the tracer it is registered on."""
     sim = build_chain(mod)
     if tracer_first:
-        tracer = attach_tracing(sim.world)
+        tracer = sim.register_interceptor(TracingInterceptor())
         dl = sim.register_interceptor(DeadlineInterceptor(budget=1e-9))
     else:
         dl = sim.register_interceptor(DeadlineInterceptor(budget=1e-9))
-        tracer = attach_tracing(sim.world)
+        tracer = sim.register_interceptor(TracingInterceptor())
     out = {}
 
     def client(ctx):
@@ -323,11 +318,11 @@ def test_coexists_with_fault_injection(mod, tracer_first):
     both registration orders (its send_request may or may not have run)."""
     sim = build_chain(mod)
     if tracer_first:
-        tracer = attach_tracing(sim.world)
+        tracer = sim.register_interceptor(TracingInterceptor())
         faults = sim.register_interceptor(FaultInjectionInterceptor())
     else:
         faults = sim.register_interceptor(FaultInjectionInterceptor())
-        tracer = attach_tracing(sim.world)
+        tracer = sim.register_interceptor(TracingInterceptor())
     faults.inject("send_request", op="work", times=1)
     out = {}
 
@@ -365,10 +360,10 @@ def test_trace_context_wire_shape():
     assert "c:" in repr(t)
 
 
-def test_detach_tracing_restores_untraced_wire(mod):
+def test_detach_restores_untraced_wire(mod):
     sim = build_chain(mod)
-    tracer = attach_tracing(sim.world)
-    detach_tracing(sim.world)
+    handle = attach(sim.world, tracing=True)
+    handle.detach()
     probe = sim.register_interceptor(WireProbe())
 
     def client(ctx):
@@ -378,6 +373,6 @@ def test_detach_tracing_restores_untraced_wire(mod):
     sim.client(client, host="HOST_1")
     sim.run()
     assert all(wire is None for _, wire in probe.server_saw)
-    assert tracer.counters["traces_started"] == 0
-    assert "tracer" not in sim.world.services
-    assert detach_tracing(sim.world) is None  # idempotent
+    assert handle.tracer.counters["traces_started"] == 0
+    assert handle.tracer not in sim.orb.interceptors
+    handle.detach()  # idempotent
