@@ -3,7 +3,7 @@
 # editable builds need it); with wheel available, `pip install -e .`
 # works too.
 
-.PHONY: install test bench figures trace-demo trace-fig5-demo all
+.PHONY: install test bench figures trace-demo trace-fig5-demo import-time all
 
 install:
 	python setup.py develop
@@ -37,5 +37,17 @@ trace-fig5-demo:
 	n = validate_chrome_trace(json.load(open('fig5-trace.json')), \
 	require_flow_events=1); \
 	print(f'fig5-trace.json: {n} events, cross-world flows ok')"
+
+# Where `import repro` spends its time: the 25 slowest modules, by
+# cumulative microseconds, that the set-up probe's imports load
+# (perfbench/run.py --setup-probe).  numpy is imported before the marker,
+# as the probe imports it before its clock starts; the first import only
+# warms the bytecode cache.
+import-time:
+	python -c "import repro.core, repro.idl, repro.netsim, repro.services"
+	@echo "  self [us] | cumulative [us] | module"
+	@python -X importtime -c "import sys, numpy; print('--', file=sys.stderr); \
+	import repro.core, repro.idl, repro.netsim, repro.services" 2>&1 >/dev/null \
+	| sed '1,/^--$$/d; s/^import time://' | sort -t'|' -k2 -n -r | head -n 25
 
 all: install test bench

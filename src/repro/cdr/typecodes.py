@@ -8,16 +8,20 @@ build them directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Any, Optional
 
 import numpy as np
 
+from .._record import FrozenRecord
 
-class TypeCode:
-    """Base class; concrete kinds below."""
+_set = object.__setattr__
 
+
+class TypeCode(FrozenRecord):
+    """Base class; concrete kinds below.  TypeCodes are immutable values:
+    equal fields compare and hash equal."""
+
+    __slots__ = ()
     kind: str = "abstract"
 
     def default(self) -> Any:
@@ -27,22 +31,23 @@ class TypeCode:
         return f"tc<{self.kind}>"
 
 
-@dataclass(frozen=True, repr=False)
 class PrimitiveTC(TypeCode):
     """A fixed-size primitive (octet/boolean/char/integers/floats)."""
 
-    name: str
-    size: int          # bytes on the wire (also the CDR alignment)
-    fmt: str           # struct/numpy dtype char, e.g. "<i4"
-    py_default: Any = 0
+    __slots__ = ("name", "size", "fmt", "py_default", "dtype")
+    _fields = ("name", "size", "fmt", "py_default")
+
+    def __init__(self, name: str, size: int, fmt: str,
+                 py_default: Any = 0) -> None:
+        _set(self, "name", name)
+        _set(self, "size", size)    # bytes on the wire (also the CDR alignment)
+        _set(self, "fmt", fmt)      # struct/numpy dtype char, e.g. "<i4"
+        _set(self, "py_default", py_default)
+        _set(self, "dtype", np.dtype(fmt))
 
     @property
     def kind(self) -> str:  # type: ignore[override]
         return self.name
-
-    @cached_property
-    def dtype(self) -> np.dtype:
-        return np.dtype(self.fmt)
 
     def default(self) -> Any:
         return self.py_default
@@ -81,12 +86,14 @@ INT_RANGES = {
 }
 
 
-@dataclass(frozen=True, repr=False)
 class StringTC(TypeCode):
     """IDL ``string`` / ``string<bound>`` (bound excludes the terminator)."""
 
-    bound: Optional[int] = None
+    __slots__ = ("bound",)
     kind = "string"
+
+    def __init__(self, bound: Optional[int] = None) -> None:
+        _set(self, "bound", bound)
 
     def default(self) -> str:
         return ""
@@ -95,13 +102,16 @@ class StringTC(TypeCode):
         return f"tc<string<{self.bound}>>" if self.bound else "tc<string>"
 
 
-@dataclass(frozen=True, repr=False)
 class SequenceTC(TypeCode):
     """IDL ``sequence<T>`` / ``sequence<T, bound>``."""
 
-    element: TypeCode
-    bound: Optional[int] = None
+    __slots__ = ("element", "bound")
     kind = "sequence"
+
+    def __init__(self, element: TypeCode,
+                 bound: Optional[int] = None) -> None:
+        _set(self, "element", element)
+        _set(self, "bound", bound)
 
     def default(self) -> list:
         return []
@@ -111,13 +121,15 @@ class SequenceTC(TypeCode):
         return f"tc<sequence<{self.element!r}{b}>>"
 
 
-@dataclass(frozen=True, repr=False)
 class EnumTC(TypeCode):
     """IDL ``enum``; values travel as ulong member indices."""
 
-    name: str
-    members: tuple[str, ...]
+    __slots__ = ("name", "members")
     kind = "enum"
+
+    def __init__(self, name: str, members: tuple[str, ...]) -> None:
+        _set(self, "name", name)
+        _set(self, "members", members)
 
     def default(self) -> int:
         return 0
@@ -131,13 +143,16 @@ class EnumTC(TypeCode):
         return f"tc<enum {self.name}>"
 
 
-@dataclass(frozen=True, repr=False)
 class StructTC(TypeCode):
     """IDL ``struct``; values are dicts or objects with matching attrs."""
 
-    name: str
-    fields: tuple[tuple[str, TypeCode], ...]
+    __slots__ = ("name", "fields")
     kind = "struct"
+
+    def __init__(self, name: str,
+                 fields: tuple[tuple[str, TypeCode], ...]) -> None:
+        _set(self, "name", name)
+        _set(self, "fields", fields)
 
     def default(self) -> dict:
         return {fname: ftc.default() for fname, ftc in self.fields}
@@ -146,7 +161,6 @@ class StructTC(TypeCode):
         return f"tc<struct {self.name}>"
 
 
-@dataclass(frozen=True, repr=False)
 class ObjectRefTC(TypeCode):
     """A CORBA object reference (the PARDIS IOR) as a data value.
 
@@ -156,8 +170,11 @@ class ObjectRefTC(TypeCode):
     reference is extracted), or ``None`` (the nil reference).
     """
 
-    repo_id: Optional[str] = None
+    __slots__ = ("repo_id",)
     kind = "objref"
+
+    def __init__(self, repo_id: Optional[str] = None) -> None:
+        _set(self, "repo_id", repo_id)
 
     def default(self):
         return None
@@ -166,18 +183,18 @@ class ObjectRefTC(TypeCode):
         return f"tc<Object{f' ({self.repo_id})' if self.repo_id else ''}>"
 
 
-@dataclass(frozen=True, repr=False)
 class ArrayTC(TypeCode):
     """IDL fixed-size array ``T name[d0][d1]...``: no length prefix on the
     wire, exactly ``prod(dims)`` elements in row-major order."""
 
-    element: TypeCode
-    dims: tuple[int, ...]
+    __slots__ = ("element", "dims")
     kind = "array"
 
-    def __post_init__(self) -> None:
-        if not self.dims or any(d < 1 for d in self.dims):
-            raise ValueError(f"array dims must be positive, got {self.dims}")
+    def __init__(self, element: TypeCode, dims: tuple[int, ...]) -> None:
+        _set(self, "element", element)
+        _set(self, "dims", dims)
+        if not dims or any(d < 1 for d in dims):
+            raise ValueError(f"array dims must be positive, got {dims}")
 
     @property
     def total(self) -> int:
@@ -202,18 +219,22 @@ class ArrayTC(TypeCode):
         return f"tc<array {self.element!r}{dims}>"
 
 
-@dataclass(frozen=True, repr=False)
 class UnionTC(TypeCode):
     """IDL discriminated union: the discriminator travels first, then the
     selected arm.  Values are ``(discriminant, arm_value)`` pairs."""
 
-    name: str
-    discriminator: TypeCode
-    #: ((label_value, arm_name, arm_tc), ...)
-    cases: tuple[tuple[Any, str, TypeCode], ...]
-    #: (arm_name, arm_tc) for the default arm, or None
-    default_case: Optional[tuple[str, TypeCode]] = None
+    __slots__ = ("name", "discriminator", "cases", "default_case")
     kind = "union"
+
+    def __init__(self, name: str, discriminator: TypeCode,
+                 cases: tuple[tuple[Any, str, TypeCode], ...],
+                 default_case: Optional[tuple[str, TypeCode]] = None) -> None:
+        _set(self, "name", name)
+        _set(self, "discriminator", discriminator)
+        #: ((label_value, arm_name, arm_tc), ...)
+        _set(self, "cases", cases)
+        #: (arm_name, arm_tc) for the default arm, or None
+        _set(self, "default_case", default_case)
 
     def arm_for(self, disc: Any):
         # Enum-discriminated unions store integer labels (member indices);
@@ -237,7 +258,6 @@ class UnionTC(TypeCode):
         return f"tc<union {self.name}>"
 
 
-@dataclass(frozen=True, repr=False)
 class DSequenceTC(TypeCode):
     """PARDIS ``dsequence<T, bound, client_dist, server_dist>``.
 
@@ -246,11 +266,16 @@ class DSequenceTC(TypeCode):
     know the default layouts on either side.
     """
 
-    element: TypeCode
-    bound: Optional[int] = None
-    client_dist: str = "BLOCK"
-    server_dist: str = "BLOCK"
+    __slots__ = ("element", "bound", "client_dist", "server_dist")
     kind = "dsequence"
+
+    def __init__(self, element: TypeCode, bound: Optional[int] = None,
+                 client_dist: str = "BLOCK",
+                 server_dist: str = "BLOCK") -> None:
+        _set(self, "element", element)
+        _set(self, "bound", bound)
+        _set(self, "client_dist", client_dist)
+        _set(self, "server_dist", server_dist)
 
     def fragment_tc(self) -> SequenceTC:
         return SequenceTC(self.element)

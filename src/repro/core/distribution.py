@@ -14,22 +14,28 @@ communication schedules, so any two distributions can be converted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Sequence
+
+from .._record import FrozenRecord
+
+_set = object.__setattr__
 
 Interval = tuple[int, int]
 
 
-@dataclass(frozen=True)
-class Distribution:
+class Distribution(FrozenRecord):
     """An immutable partition of ``range(n)`` over ``p`` ranks."""
 
-    n: int
-    p: int
-    kind: str
-    #: per-rank tuple of half-open (start, stop) global index intervals,
-    #: each rank's list sorted and non-overlapping.
-    parts: tuple[tuple[Interval, ...], ...]
+    __slots__ = ("n", "p", "kind", "parts")
+
+    def __init__(self, n: int, p: int, kind: str,
+                 parts: tuple[tuple[Interval, ...], ...]) -> None:
+        _set(self, "n", n)
+        _set(self, "p", p)
+        _set(self, "kind", kind)
+        #: per-rank tuple of half-open (start, stop) global index
+        #: intervals, each rank's list sorted and non-overlapping.
+        _set(self, "parts", parts)
 
     # -- constructors ---------------------------------------------------------
 

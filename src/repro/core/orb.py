@@ -14,9 +14,9 @@ repositories and the per-host activation agents.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
+from .._record import Record
 from ..cdr import TC_DOUBLE, TypeCode
 from ..runtime.program import PORT_ORB, ParallelProgram, World
 from ..simkernel import SimKernel
@@ -32,46 +32,63 @@ from .repository import (
 )
 
 
-@dataclass
-class OrbConfig:
+class OrbConfig(Record):
     """Tunable ORB behaviour (several knobs exist purely so the ablation
     benchmarks can isolate one mechanism at a time)."""
 
-    #: Maximum unreplied requests per binding before a new invocation
-    #: blocks.  The paper's transport admits one outstanding request per
-    #: connection, which is what produces the Fig-5 pipeline congestion.
-    max_outstanding: int = 1
-    #: Verify that all SPMD client threads issue the same invocation (the
-    #: "request accepted by all computing threads" discipline).
-    collective_checks: bool = True
-    #: Virtual cost of one repository lookup.
-    repo_lookup_cost: float = 200e-6
-    #: Virtual cost charged by Future.resolved() polling.
-    poll_cost: float = 1e-6
-    #: Virtual cost of a bypassed (same-program) invocation (§4.1:
-    #: "invocation on a local object becomes a direct call").
-    local_call_overhead: float = 2e-6
-    #: Virtual cost of establishing one binding.
-    bind_cost: float = 500e-6
-    #: Activation: polling interval and give-up horizon (virtual seconds).
-    activation_poll_interval: float = 2e-3
-    activation_timeout: float = 60.0
-    #: How long a bind keeps retrying the repository for an object that is
-    #: not yet registered and has no activation record (covers servers
-    #: that are still starting up at bind time).
-    resolve_grace: float = 1.0
-    #: When True, data is handed to a communication thread and the compute
-    #: thread does not pay serialization time (the paper's §6 future-work
-    #: experiment; exercised by the commthreads ablation).
-    communication_threads: bool = False
-    #: Give up on a reply after this many virtual seconds (None = wait
-    #: forever).  A timed-out request fails with a SystemException on all
-    #: of its futures.
-    request_timeout: Optional[float] = None
-    #: Portable interceptors registered at ORB construction (instances of
-    #: repro.core.pipeline.RequestInterceptor); more can be added later
-    #: via ORB.register_interceptor.
-    interceptors: tuple = ()
+    __slots__ = ("max_outstanding", "collective_checks", "repo_lookup_cost",
+                 "poll_cost", "local_call_overhead", "bind_cost",
+                 "activation_poll_interval", "activation_timeout",
+                 "resolve_grace", "communication_threads", "request_timeout",
+                 "interceptors")
+
+    def __init__(self, max_outstanding: int = 1,
+                 collective_checks: bool = True,
+                 repo_lookup_cost: float = 200e-6, poll_cost: float = 1e-6,
+                 local_call_overhead: float = 2e-6, bind_cost: float = 500e-6,
+                 activation_poll_interval: float = 2e-3,
+                 activation_timeout: float = 60.0,
+                 resolve_grace: float = 1.0,
+                 communication_threads: bool = False,
+                 request_timeout: Optional[float] = None,
+                 interceptors: tuple = ()) -> None:
+        #: Maximum unreplied requests per binding before a new invocation
+        #: blocks.  The paper's transport admits one outstanding request
+        #: per connection, which is what produces the Fig-5 pipeline
+        #: congestion.
+        self.max_outstanding = max_outstanding
+        #: Verify that all SPMD client threads issue the same invocation
+        #: (the "request accepted by all computing threads" discipline).
+        self.collective_checks = collective_checks
+        #: Virtual cost of one repository lookup.
+        self.repo_lookup_cost = repo_lookup_cost
+        #: Virtual cost charged by Future.resolved() polling.
+        self.poll_cost = poll_cost
+        #: Virtual cost of a bypassed (same-program) invocation (§4.1:
+        #: "invocation on a local object becomes a direct call").
+        self.local_call_overhead = local_call_overhead
+        #: Virtual cost of establishing one binding.
+        self.bind_cost = bind_cost
+        #: Activation: polling interval and give-up horizon (virtual
+        #: seconds).
+        self.activation_poll_interval = activation_poll_interval
+        self.activation_timeout = activation_timeout
+        #: How long a bind keeps retrying the repository for an object that
+        #: is not yet registered and has no activation record (covers
+        #: servers that are still starting up at bind time).
+        self.resolve_grace = resolve_grace
+        #: When True, data is handed to a communication thread and the
+        #: compute thread does not pay serialization time (the paper's §6
+        #: future-work experiment; exercised by the commthreads ablation).
+        self.communication_threads = communication_threads
+        #: Give up on a reply after this many virtual seconds (None = wait
+        #: forever).  A timed-out request fails with a SystemException on
+        #: all of its futures.
+        self.request_timeout = request_timeout
+        #: Portable interceptors registered at ORB construction (instances
+        #: of repro.core.pipeline.RequestInterceptor); more can be added
+        #: later via ORB.register_interceptor.
+        self.interceptors = interceptors
 
 
 class ActivationAgent:

@@ -18,8 +18,9 @@ real failure: error replies, dead-lettered fragments, failed futures.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional
+
+from ..._record import Record
 
 from ..errors import SystemException
 from .interceptors import POINTS, RequestInterceptor
@@ -27,16 +28,20 @@ from .interceptors import POINTS, RequestInterceptor
 __all__ = ["FaultInjectionInterceptor", "FaultRule"]
 
 
-@dataclass
-class FaultRule:
+class FaultRule(Record):
     """One armed fault: raise ``exc`` at ``point`` (for ``op``, if set),
     at most ``times`` times (``None`` means every time)."""
 
-    point: str
-    exc: BaseException
-    op: Optional[str] = None
-    times: Optional[int] = 1
-    fired: int = field(default=0)
+    __slots__ = ("point", "exc", "op", "times", "fired")
+
+    def __init__(self, point: str, exc: BaseException,
+                 op: Optional[str] = None, times: Optional[int] = 1,
+                 fired: int = 0) -> None:
+        self.point = point
+        self.exc = exc
+        self.op = op
+        self.times = times
+        self.fired = fired
 
     def matches(self, point: str, op_name: str) -> bool:
         if self.point != point:

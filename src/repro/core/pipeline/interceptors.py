@@ -48,7 +48,6 @@ is unaffected until an interceptor is registered.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any, Optional
 
 from ..errors import BindingError
@@ -70,27 +69,36 @@ SERVER_POINTS = ("receive_request", "send_reply", "finish_request")
 POINTS = CLIENT_POINTS + SERVER_POINTS
 
 
-@dataclass
 class ClientRequestInfo:
-    """What a client-side interceptor sees about one invocation."""
+    """What a client-side interceptor sees about one invocation.
 
-    ctx: Any                         # PardisContext of the invoking thread
-    op: OpDef
-    req_id: tuple
-    object_name: str
-    rank: int                        # client thread index in the invocation
-    oneway: bool
-    deadline: Optional[float]        # absolute virtual-time reply deadline
-    #: True for a §4.1 local-bypass invocation: nothing travels on the
-    #: wire, so ``send_request`` mutations of ``service_contexts`` go
-    #: nowhere, but the points still fire around the direct call
-    local: bool = False
-    #: request service contexts; mutations in ``send_request`` travel on
-    #: the RequestHeader
-    service_contexts: dict = field(default_factory=dict)
-    reply: Optional[ReplyHeader] = None
-    result: Any = None
-    exception: Optional[BaseException] = None
+    No ``__slots__``: interceptors keep per-request state on the info
+    (the tracing interceptor its span context).
+    """
+
+    def __init__(self, ctx: Any, op: OpDef, req_id: tuple, object_name: str,
+                 rank: int, oneway: bool, deadline: Optional[float],
+                 local: bool = False, service_contexts: Optional[dict] = None,
+                 reply: Optional[ReplyHeader] = None, result: Any = None,
+                 exception: Optional[BaseException] = None) -> None:
+        self.ctx = ctx                  # PardisContext of the invoking thread
+        self.op = op
+        self.req_id = req_id
+        self.object_name = object_name
+        self.rank = rank                # client thread index in the invocation
+        self.oneway = oneway
+        self.deadline = deadline        # absolute virtual-time reply deadline
+        #: True for a §4.1 local-bypass invocation: nothing travels on the
+        #: wire, so ``send_request`` mutations of ``service_contexts`` go
+        #: nowhere, but the points still fire around the direct call
+        self.local = local
+        #: request service contexts; mutations in ``send_request`` travel
+        #: on the RequestHeader
+        self.service_contexts = ({} if service_contexts is None
+                                 else service_contexts)
+        self.reply = reply
+        self.result = result
+        self.exception = exception
 
     @property
     def op_name(self) -> str:
@@ -101,20 +109,26 @@ class ClientRequestInfo:
         return self.reply.service_contexts if self.reply is not None else {}
 
 
-@dataclass
 class ServerRequestInfo:
-    """What a server-side interceptor sees about one dispatched request."""
+    """What a server-side interceptor sees about one dispatched request
+    (no ``__slots__``, as for :class:`ClientRequestInfo`)."""
 
-    ctx: Any                         # PardisContext of the serving thread
-    header: RequestHeader
-    op: OpDef
-    servant: Any
-    is_root: bool                    # this thread authors the reply
-    #: reply service contexts; mutations up to ``send_reply`` travel on
-    #: the ReplyHeader
-    reply_service_contexts: dict = field(default_factory=dict)
-    result: Any = None
-    exception: Optional[BaseException] = None
+    def __init__(self, ctx: Any, header: RequestHeader, op: OpDef,
+                 servant: Any, is_root: bool,
+                 reply_service_contexts: Optional[dict] = None,
+                 result: Any = None,
+                 exception: Optional[BaseException] = None) -> None:
+        self.ctx = ctx                  # PardisContext of the serving thread
+        self.header = header
+        self.op = op
+        self.servant = servant
+        self.is_root = is_root          # this thread authors the reply
+        #: reply service contexts; mutations up to ``send_reply`` travel
+        #: on the ReplyHeader
+        self.reply_service_contexts = ({} if reply_service_contexts is None
+                                       else reply_service_contexts)
+        self.result = result
+        self.exception = exception
 
     @property
     def op_name(self) -> str:

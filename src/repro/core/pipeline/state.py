@@ -23,7 +23,6 @@ Failure semantics beyond the old engine:
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Any, Optional
 
 from ...cdr import encode as cdr_encode
@@ -606,7 +605,7 @@ class ServerRequestState:
         record = self.record = self.poa._lookup_record(hdr.object_name)
         if record.kind == "spmd":
             if ctx.rank == 0 and not hdr.forwarded and ctx.nprocs > 1:
-                fwd = replace(hdr, forwarded=True)
+                fwd = hdr.forwarded_copy()
                 for r in range(1, ctx.nprocs):
                     ctx.orb.world.transport.send(
                         ctx.endpoint.address,

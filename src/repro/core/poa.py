@@ -26,7 +26,6 @@ be mis-matched by a later request.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any, Optional
 
 from ..runtime.program import PORT_ORB
@@ -44,14 +43,19 @@ from .request import OVERLOAD_CONTEXT, ReplyHeader, RequestHeader, STATUS_SYS_EX
 _DEAD_LETTER_LIMIT = 256
 
 
-@dataclass
 class ServantRecord:
-    name: str
-    iface: InterfaceDef
-    kind: str                        # "spmd" | "single"
-    owner_rank: int
-    servants: dict[int, Any] = field(default_factory=dict)
-    in_dists: dict = field(default_factory=dict)
+    __slots__ = ("name", "iface", "kind", "owner_rank", "servants",
+                 "in_dists")
+
+    def __init__(self, name: str, iface: InterfaceDef, kind: str,
+                 owner_rank: int, servants: Optional[dict[int, Any]] = None,
+                 in_dists: Optional[dict] = None) -> None:
+        self.name = name
+        self.iface = iface
+        self.kind = kind                # "spmd" | "single"
+        self.owner_rank = owner_rank
+        self.servants = {} if servants is None else servants
+        self.in_dists = {} if in_dists is None else in_dists
 
 
 class POA:

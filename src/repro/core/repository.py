@@ -14,28 +14,34 @@ activation agents consume those records.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable, Optional
 
+from .._record import Record
 from ..netsim import Address
 from .errors import ObjectNotFound
 
 
-@dataclass
-class ObjectRef:
+class ObjectRef(Record):
     """An interoperable object reference (the PARDIS IOR)."""
 
-    name: str
-    repo_id: str                    # interface repository id
-    kind: str                       # "spmd" | "single"
-    program_id: int
-    host: str
-    nthreads: int                   # server computing threads
-    owner_rank: int                 # servicing thread for single objects
-    endpoints: tuple[Address, ...]  # ORB endpoint of every server thread
-    #: server-side overrides: (op, param) -> distribution kind for "in"
-    #: arguments, set before registration (paper §3.2)
-    in_dists: dict = field(default_factory=dict)
+    __slots__ = ("name", "repo_id", "kind", "program_id", "host",
+                 "nthreads", "owner_rank", "endpoints", "in_dists")
+
+    def __init__(self, name: str, repo_id: str, kind: str, program_id: int,
+                 host: str, nthreads: int, owner_rank: int,
+                 endpoints: tuple[Address, ...],
+                 in_dists: Optional[dict] = None) -> None:
+        self.name = name
+        self.repo_id = repo_id          # interface repository id
+        self.kind = kind                # "spmd" | "single"
+        self.program_id = program_id
+        self.host = host
+        self.nthreads = nthreads        # server computing threads
+        self.owner_rank = owner_rank    # servicing thread for single objects
+        self.endpoints = endpoints      # ORB endpoint of every server thread
+        #: server-side overrides: (op, param) -> distribution kind for "in"
+        #: arguments, set before registration (paper §3.2)
+        self.in_dists = {} if in_dists is None else in_dists
 
     @property
     def root_endpoint(self) -> Address:
@@ -106,19 +112,26 @@ class ObjectRepository:
         return sorted(self._objects)
 
 
-@dataclass
-class ActivationRecord:
+class ActivationRecord(Record):
     """How to start the server that implements an object (paper: the
     ``register`` facility of the Implementation Repository)."""
 
-    object_name: str
-    server_main: Callable           # main(ctx) run on every computing thread
-    host: str
-    nprocs: int
-    rts_factory: Optional[Callable] = None
-    node_offset: int = 0
-    program_name: Optional[str] = None
-    args: tuple = ()
+    __slots__ = ("object_name", "server_main", "host", "nprocs",
+                 "rts_factory", "node_offset", "program_name", "args")
+
+    def __init__(self, object_name: str, server_main: Callable, host: str,
+                 nprocs: int, rts_factory: Optional[Callable] = None,
+                 node_offset: int = 0, program_name: Optional[str] = None,
+                 args: tuple = ()) -> None:
+        self.object_name = object_name
+        #: main(ctx) run on every computing thread
+        self.server_main = server_main
+        self.host = host
+        self.nprocs = nprocs
+        self.rts_factory = rts_factory
+        self.node_offset = node_offset
+        self.program_name = program_name
+        self.args = args
 
 
 class ImplementationRepository:

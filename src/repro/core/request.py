@@ -15,7 +15,6 @@ so each side can reconstruct the schedule locally.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any, Optional
 
 from ..netsim import Address
@@ -78,29 +77,51 @@ def build(descr: tuple) -> Distribution:
     raise ValueError(f"bad distribution descriptor {descr!r}")
 
 
-@dataclass
 class RequestHeader:
     """First message of an invocation, delivered to every server thread
     (rank 0 receives it from the client and forwards to its peers through
     the server's communication domain)."""
 
-    req_id: ReqId
-    object_name: str
-    op: str
-    kind: str                       # "spmd" | "single"
-    client_program_id: int
-    client_nthreads: int
-    reply_to: tuple[Address, ...]   # ORB endpoints of the client threads
-    scalar_args: bytes              # CDR: non-distributed in-args, in order
-    #: param name -> distribution descriptor of the client-side layout
-    dseq_args: dict[str, tuple] = field(default_factory=dict)
-    #: param name -> client-requested layout for distributed out args
-    out_dists: dict[str, tuple] = field(default_factory=dict)
-    oneway: bool = False
-    forwarded: bool = False
-    #: GIOP-style ServiceContextList: opaque per-request entries added by
-    #: portable interceptors (deadlines, tracing ids, ...).
-    service_contexts: dict[str, Any] = field(default_factory=dict)
+    __slots__ = ("req_id", "object_name", "op", "kind", "client_program_id",
+                 "client_nthreads", "reply_to", "scalar_args", "dseq_args",
+                 "out_dists", "oneway", "forwarded", "service_contexts")
+
+    def __init__(self, req_id: ReqId, object_name: str, op: str, kind: str,
+                 client_program_id: int, client_nthreads: int,
+                 reply_to: tuple[Address, ...], scalar_args: bytes,
+                 dseq_args: Optional[dict[str, tuple]] = None,
+                 out_dists: Optional[dict[str, tuple]] = None,
+                 oneway: bool = False, forwarded: bool = False,
+                 service_contexts: Optional[dict[str, Any]] = None) -> None:
+        self.req_id = req_id
+        self.object_name = object_name
+        self.op = op
+        self.kind = kind                    # "spmd" | "single"
+        self.client_program_id = client_program_id
+        self.client_nthreads = client_nthreads
+        #: ORB endpoints of the client threads
+        self.reply_to = reply_to
+        #: CDR: non-distributed in-args, in order
+        self.scalar_args = scalar_args
+        #: param name -> distribution descriptor of the client-side layout
+        self.dseq_args = {} if dseq_args is None else dseq_args
+        #: param name -> client-requested layout for distributed out args
+        self.out_dists = {} if out_dists is None else out_dists
+        self.oneway = oneway
+        self.forwarded = forwarded
+        #: GIOP-style ServiceContextList: opaque per-request entries added
+        #: by portable interceptors (deadlines, tracing ids, ...).
+        self.service_contexts = ({} if service_contexts is None
+                                 else service_contexts)
+
+    def forwarded_copy(self) -> "RequestHeader":
+        """This header as rank 0 forwards it to its peers: a shallow copy
+        (the dicts are shared) marked ``forwarded``."""
+        return RequestHeader(
+            self.req_id, self.object_name, self.op, self.kind,
+            self.client_program_id, self.client_nthreads, self.reply_to,
+            self.scalar_args, self.dseq_args, self.out_dists, self.oneway,
+            True, self.service_contexts)
 
     def nbytes(self) -> int:
         return 96 + len(self.scalar_args) + 24 * (
@@ -109,17 +130,21 @@ class RequestHeader:
         )
 
 
-@dataclass
 class Fragment:
     """One thread-to-thread piece of a distributed argument/result."""
 
-    req_id: ReqId
-    param: str
-    src_rank: int
-    intervals: tuple
-    #: the CDR-encoded element run, bytes-like: ``bytes``, an exact-size
-    #: ``bytearray`` (rows of numbers) or a pooled lease (numbers)
-    payload: Any
+    __slots__ = ("req_id", "param", "src_rank", "intervals", "payload")
+
+    def __init__(self, req_id: ReqId, param: str, src_rank: int,
+                 intervals: tuple, payload: Any) -> None:
+        self.req_id = req_id
+        self.param = param
+        self.src_rank = src_rank
+        self.intervals = intervals
+        #: the CDR-encoded element run, bytes-like: ``bytes``, an
+        #: exact-size ``bytearray`` (rows of numbers) or a pooled lease
+        #: (numbers)
+        self.payload = payload
 
     def nbytes(self) -> int:
         return 48 + len(self.payload) + 16 * len(self.intervals)
@@ -138,18 +163,27 @@ STATUS_SYS_EXC = "system_exception"
 STATUS_PEER_EXC = "peer_exception"
 
 
-@dataclass
 class ReplyHeader:
-    req_id: ReqId
-    status: str
-    scalar_results: bytes = b""     # CDR: return value then scalar outs
-    #: out param name -> (distribution descriptor of server-side layout)
-    dseq_outs: dict[str, tuple] = field(default_factory=dict)
-    #: (exception repo_id, CDR fields) for user exceptions,
-    #: or a message string for system exceptions
-    exception: Optional[Any] = None
-    #: GIOP-style ServiceContextList for the reply direction.
-    service_contexts: dict[str, Any] = field(default_factory=dict)
+    __slots__ = ("req_id", "status", "scalar_results", "dseq_outs",
+                 "exception", "service_contexts")
+
+    def __init__(self, req_id: ReqId, status: str,
+                 scalar_results: bytes = b"",
+                 dseq_outs: Optional[dict[str, tuple]] = None,
+                 exception: Optional[Any] = None,
+                 service_contexts: Optional[dict[str, Any]] = None) -> None:
+        self.req_id = req_id
+        self.status = status
+        #: CDR: return value then scalar outs
+        self.scalar_results = scalar_results
+        #: out param name -> (distribution descriptor of server-side layout)
+        self.dseq_outs = {} if dseq_outs is None else dseq_outs
+        #: (exception repo_id, CDR fields) for user exceptions,
+        #: or a message string for system exceptions
+        self.exception = exception
+        #: GIOP-style ServiceContextList for the reply direction.
+        self.service_contexts = ({} if service_contexts is None
+                                 else service_contexts)
 
     def nbytes(self) -> int:
         extra = 0

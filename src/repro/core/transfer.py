@@ -31,28 +31,38 @@ host time differs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
+from .._record import FrozenRecord
 from .distribution import Distribution, Interval
+
+_set = object.__setattr__
 
 #: ``(offset, length)`` of a contiguous stretch of a rank's local storage
 Run = tuple[int, int]
 
 
-@dataclass(frozen=True)
-class TransferItem:
-    """One point-to-point fragment of a plan."""
+class TransferItem(FrozenRecord):
+    """One point-to-point fragment of a plan; ``_index`` is a cache and
+    takes no part in ``==`` or ``repr``."""
 
-    src_rank: int
-    dst_rank: int
-    intervals: tuple[Interval, ...]   # global index ranges, sorted
-    src_runs: tuple[Run, ...]         # their places in the source's storage
-    dst_runs: tuple[Run, ...]         # ... and in the destination's
-    size: int
-    #: local index arrays of multi-run sides, built on first use
-    _index: dict = field(default_factory=dict, compare=False, repr=False)
+    __slots__ = ("src_rank", "dst_rank", "intervals", "src_runs",
+                 "dst_runs", "size", "_index")
+    _fields = ("src_rank", "dst_rank", "intervals", "src_runs", "dst_runs",
+               "size")
+
+    def __init__(self, src_rank: int, dst_rank: int,
+                 intervals: tuple[Interval, ...], src_runs: tuple[Run, ...],
+                 dst_runs: tuple[Run, ...], size: int,
+                 _index: dict | None = None) -> None:
+        _set(self, "src_rank", src_rank)
+        _set(self, "dst_rank", dst_rank)
+        _set(self, "intervals", intervals)  # global index ranges, sorted
+        _set(self, "src_runs", src_runs)    # their places in the source's storage
+        _set(self, "dst_runs", dst_runs)    # ... and in the destination's
+        _set(self, "size", size)
+        #: local index arrays of multi-run sides, built on first use
+        _set(self, "_index", {} if _index is None else _index)
 
 
 def _intersect(a: tuple[Interval, ...], b: tuple[Interval, ...]) -> tuple[Interval, ...]:

@@ -1,66 +1,87 @@
-"""Abstract syntax tree for the PARDIS IDL."""
+"""Abstract syntax tree for the PARDIS IDL.
+
+Type and constant expressions are immutable values that compare and hash
+by value; declarations are mutable records (see :mod:`repro._record`).
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional, Union
+
+from .._record import FrozenRecord, Record
+
+_set = object.__setattr__
 
 # ---------------------------------------------------------------------------
 # Type expressions
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PrimType:
+class PrimType(FrozenRecord):
     """octet/boolean/char/short/ushort/long/ulong/longlong/ulonglong/
     float/double — already normalized (``unsigned long`` -> ``ulong``)."""
 
-    name: str
+    __slots__ = ("name",)
+
+    def __init__(self, name: str) -> None:
+        _set(self, "name", name)
 
 
-@dataclass(frozen=True)
-class StringType:
-    bound: Optional[int] = None
+class StringType(FrozenRecord):
+    __slots__ = ("bound",)
+
+    def __init__(self, bound: Optional[int] = None) -> None:
+        _set(self, "bound", bound)
 
 
-@dataclass(frozen=True)
-class SeqType:
-    element: "TypeExpr"
-    bound: Optional[int] = None
+class SeqType(FrozenRecord):
+    __slots__ = ("element", "bound")
+
+    def __init__(self, element: "TypeExpr",
+                 bound: Optional[int] = None) -> None:
+        _set(self, "element", element)
+        _set(self, "bound", bound)
 
 
-@dataclass(frozen=True)
-class DSeqType:
+class DSeqType(FrozenRecord):
     """PARDIS distributed sequence (paper §3.2)."""
 
-    element: "TypeExpr"
-    bound: Optional[int] = None
-    client_dist: str = "BLOCK"
-    server_dist: str = "BLOCK"
+    __slots__ = ("element", "bound", "client_dist", "server_dist")
+
+    def __init__(self, element: "TypeExpr", bound: Optional[int] = None,
+                 client_dist: str = "BLOCK",
+                 server_dist: str = "BLOCK") -> None:
+        _set(self, "element", element)
+        _set(self, "bound", bound)
+        _set(self, "client_dist", client_dist)
+        _set(self, "server_dist", server_dist)
 
 
-@dataclass(frozen=True)
-class ArrayType:
+class ArrayType(FrozenRecord):
     """Fixed-size array introduced by a declarator: ``T name[d0][d1]``."""
 
-    element: "TypeExpr"
-    dims: tuple  # of ConstExpr
+    __slots__ = ("element", "dims")
+
+    def __init__(self, element: "TypeExpr", dims: tuple) -> None:
+        _set(self, "element", element)
+        _set(self, "dims", dims)  # of ConstExpr
 
 
-@dataclass(frozen=True)
-class NamedType:
+class NamedType(FrozenRecord):
     """Reference to a declared type by (possibly scoped) name."""
 
-    scoped_name: tuple[str, ...]
+    __slots__ = ("scoped_name",)
+
+    def __init__(self, scoped_name: tuple[str, ...]) -> None:
+        _set(self, "scoped_name", scoped_name)
 
     @property
     def text(self) -> str:
         return "::".join(self.scoped_name)
 
 
-@dataclass(frozen=True)
-class VoidType:
-    pass
+class VoidType(FrozenRecord):
+    __slots__ = ()
 
 
 TypeExpr = Union[PrimType, StringType, SeqType, DSeqType, NamedType,
@@ -71,27 +92,36 @@ TypeExpr = Union[PrimType, StringType, SeqType, DSeqType, NamedType,
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Literal:
-    value: object  # int | float | str | bool
+class Literal(FrozenRecord):
+    __slots__ = ("value",)
+
+    def __init__(self, value: object) -> None:
+        _set(self, "value", value)  # int | float | str | bool
 
 
-@dataclass(frozen=True)
-class ConstRef:
-    scoped_name: tuple[str, ...]
+class ConstRef(FrozenRecord):
+    __slots__ = ("scoped_name",)
+
+    def __init__(self, scoped_name: tuple[str, ...]) -> None:
+        _set(self, "scoped_name", scoped_name)
 
 
-@dataclass(frozen=True)
-class UnaryExpr:
-    op: str
-    operand: "ConstExpr"
+class UnaryExpr(FrozenRecord):
+    __slots__ = ("op", "operand")
+
+    def __init__(self, op: str, operand: "ConstExpr") -> None:
+        _set(self, "op", op)
+        _set(self, "operand", operand)
 
 
-@dataclass(frozen=True)
-class BinaryExpr:
-    op: str
-    left: "ConstExpr"
-    right: "ConstExpr"
+class BinaryExpr(FrozenRecord):
+    __slots__ = ("op", "left", "right")
+
+    def __init__(self, op: str, left: "ConstExpr",
+                 right: "ConstExpr") -> None:
+        _set(self, "op", op)
+        _set(self, "left", left)
+        _set(self, "right", right)
 
 
 ConstExpr = Union[Literal, ConstRef, UnaryExpr, BinaryExpr]
@@ -101,109 +131,145 @@ ConstExpr = Union[Literal, ConstRef, UnaryExpr, BinaryExpr]
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class Pragma:
+class Pragma(Record):
     """``#pragma PACKAGE:structure`` — applies to the next dsequence typedef
     (paper §3.4/§4.3).  Several pragmas may stack onto one typedef."""
 
-    package: str
-    target: str
-    line: int = 0
+    __slots__ = ("package", "target", "line")
+
+    def __init__(self, package: str, target: str, line: int = 0) -> None:
+        self.package = package
+        self.target = target
+        self.line = line
 
 
-@dataclass
-class Typedef:
-    name: str
-    type: TypeExpr
-    pragmas: list[Pragma] = field(default_factory=list)
+class Typedef(Record):
+    __slots__ = ("name", "type", "pragmas")
+
+    def __init__(self, name: str, type: TypeExpr,
+                 pragmas: Optional[list[Pragma]] = None) -> None:
+        self.name = name
+        self.type = type
+        self.pragmas = [] if pragmas is None else pragmas
 
 
-@dataclass
-class ConstDecl:
-    name: str
-    type: TypeExpr
-    value: ConstExpr
+class ConstDecl(Record):
+    __slots__ = ("name", "type", "value")
+
+    def __init__(self, name: str, type: TypeExpr, value: ConstExpr) -> None:
+        self.name = name
+        self.type = type
+        self.value = value
 
 
-@dataclass
-class StructMember:
-    name: str
-    type: TypeExpr
+class StructMember(Record):
+    __slots__ = ("name", "type")
+
+    def __init__(self, name: str, type: TypeExpr) -> None:
+        self.name = name
+        self.type = type
 
 
-@dataclass
-class StructDecl:
-    name: str
-    members: list[StructMember]
+class StructDecl(Record):
+    __slots__ = ("name", "members")
+
+    def __init__(self, name: str, members: list[StructMember]) -> None:
+        self.name = name
+        self.members = members
 
 
-@dataclass
-class EnumDecl:
-    name: str
-    members: list[str]
+class EnumDecl(Record):
+    __slots__ = ("name", "members")
+
+    def __init__(self, name: str, members: list[str]) -> None:
+        self.name = name
+        self.members = members
 
 
-@dataclass
-class UnionCase:
+class UnionCase(Record):
     """One arm of a union: labels is a list of ConstExpr, or the string
     "default" for the default arm."""
 
-    labels: list
-    name: str
-    type: TypeExpr
+    __slots__ = ("labels", "name", "type")
+
+    def __init__(self, labels: list, name: str, type: TypeExpr) -> None:
+        self.labels = labels
+        self.name = name
+        self.type = type
 
 
-@dataclass
-class UnionDecl:
-    name: str
-    discriminator: TypeExpr
-    cases: list
+class UnionDecl(Record):
+    __slots__ = ("name", "discriminator", "cases")
+
+    def __init__(self, name: str, discriminator: TypeExpr,
+                 cases: list) -> None:
+        self.name = name
+        self.discriminator = discriminator
+        self.cases = cases
 
 
-@dataclass
-class ExceptionDecl:
-    name: str
-    members: list[StructMember]
+class ExceptionDecl(Record):
+    __slots__ = ("name", "members")
+
+    def __init__(self, name: str, members: list[StructMember]) -> None:
+        self.name = name
+        self.members = members
 
 
-@dataclass
-class Param:
-    direction: str  # "in" | "out" | "inout"
-    type: TypeExpr
-    name: str
+class Param(Record):
+    __slots__ = ("direction", "type", "name")
+
+    def __init__(self, direction: str, type: TypeExpr, name: str) -> None:
+        self.direction = direction  # "in" | "out" | "inout"
+        self.type = type
+        self.name = name
 
 
-@dataclass
-class Operation:
-    name: str
-    return_type: TypeExpr
-    params: list[Param]
-    oneway: bool = False
-    raises: list[NamedType] = field(default_factory=list)
+class Operation(Record):
+    __slots__ = ("name", "return_type", "params", "oneway", "raises")
+
+    def __init__(self, name: str, return_type: TypeExpr,
+                 params: list[Param], oneway: bool = False,
+                 raises: Optional[list[NamedType]] = None) -> None:
+        self.name = name
+        self.return_type = return_type
+        self.params = params
+        self.oneway = oneway
+        self.raises = [] if raises is None else raises
 
 
-@dataclass
-class Attribute:
-    name: str
-    type: TypeExpr
-    readonly: bool = False
+class Attribute(Record):
+    __slots__ = ("name", "type", "readonly")
+
+    def __init__(self, name: str, type: TypeExpr,
+                 readonly: bool = False) -> None:
+        self.name = name
+        self.type = type
+        self.readonly = readonly
 
 
-@dataclass
-class InterfaceDecl:
-    name: str
-    bases: list[NamedType]
-    body: list  # Operation | Attribute | Typedef | ConstDecl | ...
+class InterfaceDecl(Record):
+    __slots__ = ("name", "bases", "body")
+
+    def __init__(self, name: str, bases: list[NamedType],
+                 body: list) -> None:
+        self.name = name
+        self.bases = bases
+        self.body = body  # Operation | Attribute | Typedef | ConstDecl | ...
 
 
-@dataclass
-class ModuleDecl:
-    name: str
-    body: list
+class ModuleDecl(Record):
+    __slots__ = ("name", "body")
+
+    def __init__(self, name: str, body: list) -> None:
+        self.name = name
+        self.body = body
 
 
-@dataclass
-class Specification:
+class Specification(Record):
     """A parsed IDL file."""
 
-    definitions: list
+    __slots__ = ("definitions",)
+
+    def __init__(self, definitions: list) -> None:
+        self.definitions = definitions

@@ -7,7 +7,6 @@ wraps the same pipeline (``pardis-idlc file.idl [-pooma|-hpcxx] [-o out.py]``).
 
 from __future__ import annotations
 
-import argparse
 import os
 import re
 import sys
@@ -137,6 +136,8 @@ def compile_idl(source: str, package: Optional[str] = None,
 
 def main(argv: Optional[list[str]] = None) -> int:
     """Console entry point: ``pardis-idlc``."""
+    import argparse  # the CLI's alone: keeps it off ``import repro``
+
     ap = argparse.ArgumentParser(
         prog="pardis-idlc",
         description="PARDIS IDL compiler: generates Python stubs/skeletons.",

@@ -9,7 +9,10 @@ PARDIS compiler uses pragmas to select package mappings, paper §3.4).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+
+from .._record import FrozenRecord
+
+_set = object.__setattr__
 
 
 class IdlSyntaxError(SyntaxError):
@@ -62,12 +65,14 @@ _TOKEN_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class Token:
-    type: str
-    value: str
-    line: int
-    col: int
+class Token(FrozenRecord):
+    __slots__ = ("type", "value", "line", "col")
+
+    def __init__(self, type: str, value: str, line: int, col: int) -> None:
+        _set(self, "type", type)
+        _set(self, "value", value)
+        _set(self, "line", line)
+        _set(self, "col", col)
 
     def __repr__(self) -> str:
         return f"Token({self.type}, {self.value!r} @{self.line}:{self.col})"

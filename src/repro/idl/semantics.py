@@ -14,8 +14,7 @@ The output :class:`CompiledSpec` is the IR consumed by the code generator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Optional, Union
+from typing import Any, Optional
 
 from ..cdr import (
     ArrayTC,
@@ -29,6 +28,7 @@ from ..cdr import (
     TypeCode,
     UnionTC,
 )
+from .._record import Record
 from . import ast
 
 
@@ -41,87 +41,107 @@ class IdlSemanticError(Exception):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class RTypedef:
-    qname: tuple[str, ...]
-    tc: TypeCode
-    pragmas: list[ast.Pragma] = field(default_factory=list)
+class RTypedef(Record):
+    __slots__ = ("qname", "tc", "pragmas")
+
+    def __init__(self, qname: tuple[str, ...], tc: TypeCode,
+                 pragmas: Optional[list[ast.Pragma]] = None) -> None:
+        self.qname = qname
+        self.tc = tc
+        self.pragmas = [] if pragmas is None else pragmas
 
     @property
     def python_name(self) -> str:
         return "_".join(self.qname)
 
 
-@dataclass
-class RConst:
-    qname: tuple[str, ...]
-    value: Any
+class RConst(Record):
+    __slots__ = ("qname", "value")
+
+    def __init__(self, qname: tuple[str, ...], value: Any) -> None:
+        self.qname = qname
+        self.value = value
 
     @property
     def python_name(self) -> str:
         return "_".join(self.qname)
 
 
-@dataclass
-class RStruct:
-    qname: tuple[str, ...]
-    tc: StructTC
+class RStruct(Record):
+    __slots__ = ("qname", "tc")
+
+    def __init__(self, qname: tuple[str, ...], tc: StructTC) -> None:
+        self.qname = qname
+        self.tc = tc
 
     @property
     def python_name(self) -> str:
         return "_".join(self.qname)
 
 
-@dataclass
-class REnum:
-    qname: tuple[str, ...]
-    tc: EnumTC
+class REnum(Record):
+    __slots__ = ("qname", "tc")
+
+    def __init__(self, qname: tuple[str, ...], tc: EnumTC) -> None:
+        self.qname = qname
+        self.tc = tc
 
     @property
     def python_name(self) -> str:
         return "_".join(self.qname)
 
 
-@dataclass
-class RUnion:
-    qname: tuple[str, ...]
-    tc: UnionTC
+class RUnion(Record):
+    __slots__ = ("qname", "tc")
+
+    def __init__(self, qname: tuple[str, ...], tc: UnionTC) -> None:
+        self.qname = qname
+        self.tc = tc
 
     @property
     def python_name(self) -> str:
         return "_".join(self.qname)
 
 
-@dataclass
-class RException:
-    qname: tuple[str, ...]
-    tc: StructTC
+class RException(Record):
+    __slots__ = ("qname", "tc")
+
+    def __init__(self, qname: tuple[str, ...], tc: StructTC) -> None:
+        self.qname = qname
+        self.tc = tc
 
     @property
     def python_name(self) -> str:
         return "_".join(self.qname)
 
 
-@dataclass
-class RParam:
-    direction: str
-    name: str
-    tc: TypeCode
-    #: the typedef that introduced this type, if any (carries pragmas)
-    via_typedef: Optional[RTypedef] = None
+class RParam(Record):
+    __slots__ = ("direction", "name", "tc", "via_typedef")
+
+    def __init__(self, direction: str, name: str, tc: TypeCode,
+                 via_typedef: Optional[RTypedef] = None) -> None:
+        self.direction = direction
+        self.name = name
+        self.tc = tc
+        #: the typedef that introduced this type, if any (carries pragmas)
+        self.via_typedef = via_typedef
 
     @property
     def is_distributed(self) -> bool:
         return isinstance(self.tc, DSequenceTC)
 
 
-@dataclass
-class ROperation:
-    name: str
-    ret_tc: Optional[TypeCode]          # None for void
-    params: list[RParam]
-    oneway: bool = False
-    raises: list[RException] = field(default_factory=list)
+class ROperation(Record):
+    __slots__ = ("name", "ret_tc", "params", "oneway", "raises")
+
+    def __init__(self, name: str, ret_tc: Optional[TypeCode],
+                 params: list[RParam], oneway: bool = False,
+                 raises: Optional[list[RException]] = None) -> None:
+        self.name = name
+        self.ret_tc = ret_tc            # None for void
+        self.params = params
+        self.oneway = oneway
+        self.raises = [] if raises is None else raises
 
     @property
     def has_distributed_args(self) -> bool:
@@ -138,19 +158,25 @@ class ROperation:
         return [p for p in self.params if p.direction in ("out", "inout")]
 
 
-@dataclass
-class RAttribute:
-    name: str
-    tc: TypeCode
-    readonly: bool = False
+class RAttribute(Record):
+    __slots__ = ("name", "tc", "readonly")
+
+    def __init__(self, name: str, tc: TypeCode,
+                 readonly: bool = False) -> None:
+        self.name = name
+        self.tc = tc
+        self.readonly = readonly
 
 
-@dataclass
-class RInterface:
-    qname: tuple[str, ...]
-    bases: list["RInterface"]
-    ops: list[ROperation]
-    attrs: list[RAttribute]
+class RInterface(Record):
+    __slots__ = ("qname", "bases", "ops", "attrs")
+
+    def __init__(self, qname: tuple[str, ...], bases: list["RInterface"],
+                 ops: list[ROperation], attrs: list[RAttribute]) -> None:
+        self.qname = qname
+        self.bases = bases
+        self.ops = ops
+        self.attrs = attrs
 
     @property
     def python_name(self) -> str:
@@ -176,15 +202,24 @@ class RInterface:
         return list(seen.values())
 
 
-@dataclass
-class CompiledSpec:
-    typedefs: list[RTypedef] = field(default_factory=list)
-    consts: list[RConst] = field(default_factory=list)
-    structs: list[RStruct] = field(default_factory=list)
-    enums: list[REnum] = field(default_factory=list)
-    unions: list[RUnion] = field(default_factory=list)
-    exceptions: list[RException] = field(default_factory=list)
-    interfaces: list[RInterface] = field(default_factory=list)
+class CompiledSpec(Record):
+    __slots__ = ("typedefs", "consts", "structs", "enums", "unions",
+                 "exceptions", "interfaces")
+
+    def __init__(self, typedefs: Optional[list[RTypedef]] = None,
+                 consts: Optional[list[RConst]] = None,
+                 structs: Optional[list[RStruct]] = None,
+                 enums: Optional[list[REnum]] = None,
+                 unions: Optional[list[RUnion]] = None,
+                 exceptions: Optional[list[RException]] = None,
+                 interfaces: Optional[list[RInterface]] = None) -> None:
+        self.typedefs = [] if typedefs is None else typedefs
+        self.consts = [] if consts is None else consts
+        self.structs = [] if structs is None else structs
+        self.enums = [] if enums is None else enums
+        self.unions = [] if unions is None else unions
+        self.exceptions = [] if exceptions is None else exceptions
+        self.interfaces = [] if interfaces is None else interfaces
 
     def interface(self, name: str) -> RInterface:
         for i in self.interfaces:
@@ -198,10 +233,12 @@ class CompiledSpec:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class _Entry:
-    kind: str     # typedef/const/struct/enum/enum_member/exception/interface/module
-    value: Any
+class _Entry(Record):
+    __slots__ = ("kind", "value")
+
+    def __init__(self, kind: str, value: Any) -> None:
+        self.kind = kind  # typedef/const/struct/enum/enum_member/exception/interface/module
+        self.value = value
 
 
 class _Scope:

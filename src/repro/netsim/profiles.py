@@ -10,11 +10,12 @@ intra-host fabrics of the simulated machines.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from .._record import FrozenRecord
+
+_set = object.__setattr__
 
 
-@dataclass(frozen=True)
-class LinkProfile:
+class LinkProfile(FrozenRecord):
     """Performance envelope of a communication link.
 
     Parameters
@@ -33,14 +34,16 @@ class LinkProfile:
         paper's Ethernet segment; false for node-private fabrics).
     """
 
-    name: str
-    latency: float
-    bandwidth: float
-    cpu_overhead: float = 0.0
-    shared: bool = True
+    __slots__ = ("name", "latency", "bandwidth", "cpu_overhead", "shared")
 
-    def __post_init__(self) -> None:
-        if self.latency < 0 or self.bandwidth <= 0 or self.cpu_overhead < 0:
+    def __init__(self, name: str, latency: float, bandwidth: float,
+                 cpu_overhead: float = 0.0, shared: bool = True) -> None:
+        _set(self, "name", name)
+        _set(self, "latency", latency)
+        _set(self, "bandwidth", bandwidth)
+        _set(self, "cpu_overhead", cpu_overhead)
+        _set(self, "shared", shared)
+        if latency < 0 or bandwidth <= 0 or cpu_overhead < 0:
             raise ValueError(f"invalid link profile parameters: {self!r}")
 
     def serialization_time(self, nbytes: int) -> float:

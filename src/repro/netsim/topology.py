@@ -8,13 +8,13 @@ and answers routing/cost queries for the transport layer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import Optional
 
+from .._record import Record
 from .profiles import SGI_SHMEM, LinkProfile
 
 
-@dataclass
-class Host:
+class Host(Record):
     """A (simulated) parallel machine.
 
     Parameters
@@ -31,21 +31,24 @@ class Host:
         Link profile for node-to-node messages inside the host.
     """
 
-    name: str
-    nodes: int
-    node_flops: float = 10e6
-    intra: LinkProfile = SGI_SHMEM
-    #: when True, programs sharing a node serialize their compute time on
-    #: it (opt-in CPU contention model); when False, co-located programs
-    #: compute concurrently (each is assumed to own its processors, as in
-    #: the paper's testbed).
-    timeshared: bool = False
+    __slots__ = ("name", "nodes", "node_flops", "intra", "timeshared")
 
-    def __post_init__(self) -> None:
-        if self.nodes < 1:
-            raise ValueError(f"host {self.name!r} needs at least one node")
-        if self.node_flops <= 0:
-            raise ValueError(f"host {self.name!r} needs a positive node_flops")
+    def __init__(self, name: str, nodes: int, node_flops: float = 10e6,
+                 intra: LinkProfile = SGI_SHMEM,
+                 timeshared: bool = False) -> None:
+        self.name = name
+        self.nodes = nodes
+        self.node_flops = node_flops
+        self.intra = intra
+        #: when True, programs sharing a node serialize their compute time
+        #: on it (opt-in CPU contention model); when False, co-located
+        #: programs compute concurrently (each is assumed to own its
+        #: processors, as in the paper's testbed).
+        self.timeshared = timeshared
+        if nodes < 1:
+            raise ValueError(f"host {name!r} needs at least one node")
+        if node_flops <= 0:
+            raise ValueError(f"host {name!r} needs a positive node_flops")
 
     def compute_time(self, flops: float) -> float:
         """Virtual seconds for one node to retire ``flops`` operations."""
@@ -66,7 +69,6 @@ class NoRouteError(LookupError):
     """No link exists between the two hosts."""
 
 
-@dataclass
 class Network:
     """A topology of hosts and links with transfer-cost accounting.
 
@@ -76,21 +78,31 @@ class Network:
     "average over a series of measurements taken at different times".
     """
 
-    name: str = "network"
-    jitter: float = 0.0
-    seed: int = 0
-    _hosts: dict[str, Host] = field(default_factory=dict)
-    _links: dict[frozenset, _LinkState] = field(default_factory=dict)
-    _rng: object = field(default=None, repr=False)
-    _node_busy: dict = field(default_factory=dict, repr=False)
+    __slots__ = ("name", "jitter", "seed", "_hosts", "_links", "_rng",
+                 "_node_busy", "_routes")
 
-    def __post_init__(self) -> None:
-        if not (0.0 <= self.jitter < 1.0):
-            raise ValueError(f"jitter must be in [0, 1), got {self.jitter}")
-        if self.jitter:
+    def __init__(self, name: str = "network", jitter: float = 0.0,
+                 seed: int = 0, _hosts: Optional[dict[str, Host]] = None,
+                 _links: Optional[dict[frozenset, _LinkState]] = None,
+                 _rng: object = None,
+                 _node_busy: Optional[dict] = None) -> None:
+        self.name = name
+        self.jitter = jitter
+        self.seed = seed
+        self._hosts = {} if _hosts is None else _hosts
+        self._links = {} if _links is None else _links
+        self._rng = _rng
+        self._node_busy = {} if _node_busy is None else _node_busy
+        #: (a, b) host pair -> (profile, shared link state or None), filled
+        #: on first use and cleared by connect()
+        self._routes: dict[tuple[str, str],
+                           tuple[LinkProfile, Optional[_LinkState]]] = {}
+        if not (0.0 <= jitter < 1.0):
+            raise ValueError(f"jitter must be in [0, 1), got {jitter}")
+        if jitter:
             import random
 
-            self._rng = random.Random(self.seed)
+            self._rng = random.Random(seed)
 
     def _perturb(self, value: float) -> float:
         if self._rng is None:
@@ -113,6 +125,7 @@ class Network:
             if h not in self._hosts:
                 raise KeyError(f"unknown host {h!r}")
         self._links[frozenset((a, b))] = _LinkState(profile)
+        self._routes.clear()
 
     # -- queries --------------------------------------------------------------
 
@@ -123,14 +136,27 @@ class Network:
     def hosts(self) -> tuple[Host, ...]:
         return tuple(self._hosts.values())
 
+    def _route(self, a: str, b: str) -> tuple[LinkProfile,
+                                              Optional[_LinkState]]:
+        """``(profile, state)`` for messages from host ``a`` to ``b``:
+        ``state`` is the link's occupancy when the link is shared between
+        two hosts, else ``None``.  Resolved once per ordered pair."""
+        route = self._routes.get((a, b))
+        if route is None:
+            if a == b:
+                route = (self._hosts[a].intra, None)
+            else:
+                state = self._links.get(frozenset((a, b)))
+                if state is None:
+                    raise NoRouteError(f"no link between {a!r} and {b!r}")
+                route = (state.profile,
+                         state if state.profile.shared else None)
+            self._routes[(a, b)] = route
+        return route
+
     def profile_between(self, a: str, b: str) -> LinkProfile:
         """The link profile used for a message from host ``a`` to ``b``."""
-        if a == b:
-            return self._hosts[a].intra
-        state = self._links.get(frozenset((a, b)))
-        if state is None:
-            raise NoRouteError(f"no link between {a!r} and {b!r}")
-        return state.profile
+        return self._route(a, b)[0]
 
     # -- occupancy ------------------------------------------------------------
 
@@ -143,10 +169,9 @@ class Network:
         message lands at the receiver.  Shared links serialize transfers,
         which is how the reproduction exhibits the Fig-5 congestion.
         """
-        profile = self.profile_between(a, b)
+        profile, state = self._route(a, b)
         ser = self._perturb(profile.serialization_time(nbytes))
-        if a != b and profile.shared:
-            state = self._links[frozenset((a, b))]
+        if state is not None:
             start = max(now, state.busy_until)
             state.busy_until = start + ser
         else:

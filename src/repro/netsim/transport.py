@@ -18,11 +18,11 @@ Send cost model (see DESIGN.md):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Optional
 
 import numpy as np
 
+from .._record import FrozenRecord
 from ..cdr.buffers import BufferPool, PooledBuffer
 from ..simkernel import Channel, SimKernel
 from .topology import Network
@@ -45,29 +45,53 @@ class _AnyType:
 ANY = _AnyType()
 
 
-@dataclass(frozen=True, order=True)
-class Address:
-    """Endpoint address: a port on a node of a host."""
+_set = object.__setattr__
 
-    host: str
-    node: int
-    port: int = 0
+
+class Address(FrozenRecord):
+    """Endpoint address: a port on a node of a host.
+
+    An immutable value, hashed on every endpoint lookup and compared on
+    every source-matched receive, so ``__eq__`` and ``__hash__`` are
+    written out rather than taken from the generic record.
+    """
+
+    __slots__ = ("host", "node", "port")
+
+    def __init__(self, host: str, node: int, port: int = 0) -> None:
+        _set(self, "host", host)
+        _set(self, "node", node)
+        _set(self, "port", port)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is Address:
+            return (self.host == other.host and self.node == other.node
+                    and self.port == other.port)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.host, self.node, self.port))
 
     def __str__(self) -> str:
         return f"{self.host}:{self.node}:{self.port}"
 
 
-@dataclass
 class Packet:
     """A framed message as seen by the receiver."""
 
-    src: Address
-    dst: Address
-    tag: int
-    body: Any
-    nbytes: int
-    send_time: float = 0.0
-    arrival: float = 0.0
+    __slots__ = ("src", "dst", "tag", "body", "nbytes", "send_time",
+                 "arrival")
+
+    def __init__(self, src: Address, dst: Address, tag: int, body: Any,
+                 nbytes: int, send_time: float = 0.0,
+                 arrival: float = 0.0) -> None:
+        self.src = src
+        self.dst = dst
+        self.tag = tag
+        self.body = body
+        self.nbytes = nbytes
+        self.send_time = send_time
+        self.arrival = arrival
 
 
 def estimate_nbytes(obj: Any) -> int:

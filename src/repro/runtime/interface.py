@@ -18,7 +18,6 @@ systems — reproduced here by three interchangeable implementations
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass
 from typing import Any, Optional
 
 from ..netsim import ANY
@@ -27,14 +26,16 @@ from .tags import check_user_tag
 __all__ = ["ANY", "RtsMessage", "RuntimeSystem"]
 
 
-@dataclass
 class RtsMessage:
     """A message as delivered by :meth:`RuntimeSystem.recv`."""
 
-    src: int
-    tag: int
-    payload: Any
-    nbytes: int
+    __slots__ = ("src", "tag", "payload", "nbytes")
+
+    def __init__(self, src: int, tag: int, payload: Any, nbytes: int) -> None:
+        self.src = src
+        self.tag = tag
+        self.payload = payload
+        self.nbytes = nbytes
 
 
 class RuntimeSystem(abc.ABC):

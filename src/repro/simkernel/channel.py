@@ -10,7 +10,6 @@ run-time systems.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
 from .kernel import SimKernel, SimThread
@@ -18,14 +17,15 @@ from .kernel import SimKernel, SimThread
 MatchFn = Callable[["Envelope"], bool]
 
 
-@dataclass
 class Envelope:
     """A message queued in a channel."""
 
-    arrival: float
-    seq: int
-    payload: Any
-    meta: dict = field(default_factory=dict)
+    __slots__ = ("arrival", "seq", "payload")
+
+    def __init__(self, arrival: float, seq: int, payload: Any) -> None:
+        self.arrival = arrival
+        self.seq = seq
+        self.payload = payload
 
 
 class Channel:
@@ -43,9 +43,9 @@ class Channel:
 
     # -- sending ------------------------------------------------------------
 
-    def push(self, payload: Any, arrival: float, **meta) -> Envelope:
+    def push(self, payload: Any, arrival: float) -> Envelope:
         """Deposit a message that becomes visible at virtual ``arrival``."""
-        env = Envelope(arrival, self._seq, payload, meta)
+        env = Envelope(arrival, self._seq, payload)
         self._seq += 1
         # Keep the queue sorted by (arrival, seq) so receive order is the
         # message delivery order, not the send-call order.

@@ -49,7 +49,13 @@ class Instruments:
 
     def detach(self) -> None:
         """Unhook every instrument from the world and from each other;
-        what they recorded stays readable.  Idempotent."""
+        what they recorded stays readable.  Idempotent.
+
+        A request's state machine reads ``orb.observer`` once, when the
+        request starts, so a request in flight at ``detach()`` finishes
+        its spans, and its request record, in the observer it started
+        with; requests started afterwards reach no instrument.
+        """
         world, self._world = self._world, None
         if world is None:
             return

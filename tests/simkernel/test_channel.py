@@ -203,16 +203,3 @@ def test_channel_len():
 
     k.spawn(body)
     k.run()
-
-
-def test_meta_carried_through():
-    k = SimKernel()
-    ch = Channel(k)
-
-    def body():
-        ch.push("payload", arrival=0.0, src=3, tag=7)
-        env = ch.receive()
-        assert env.meta == {"src": 3, "tag": 7}
-
-    k.spawn(body)
-    k.run()

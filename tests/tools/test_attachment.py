@@ -116,12 +116,16 @@ def test_detach_undoes_every_link():
     assert tracer.observer is None and obs.tracer is None
     assert "observer" not in sim.world.services
     assert "compute_meter" not in sim.world.services
-    # The rest of the run reaches none of the instruments: a request in
-    # flight at detach may finish its spans, but no new one is seen.
+    # The rest of the run reaches none of the instruments for new
+    # requests; a request in flight at detach finishes its spans in the
+    # observer it started with, so none of its records stays pending.
     sim.run()
     assert sim.world.transport.packets_sent > len(obs.packet_trace)
     assert len(tracer._by_req) == indexed
     assert len(obs.requests) == started
+    pending = [key for key, (_op, _t0, t1, _status) in obs.requests.items()
+               if t1 is None]
+    assert pending == []
     handle.detach()  # idempotent
 
 
