@@ -136,11 +136,13 @@ class Network:
     def hosts(self) -> tuple[Host, ...]:
         return tuple(self._hosts.values())
 
-    def _route(self, a: str, b: str) -> tuple[LinkProfile,
-                                              Optional[_LinkState]]:
+    def route(self, a: str, b: str) -> tuple[LinkProfile,
+                                             Optional[_LinkState]]:
         """``(profile, state)`` for messages from host ``a`` to ``b``:
         ``state`` is the link's occupancy when the link is shared between
-        two hosts, else ``None``.  Resolved once per ordered pair."""
+        two hosts, else ``None``.  Resolved once per ordered pair; pass it
+        to :meth:`reserve_route` to account a transfer without a second
+        lookup."""
         route = self._routes.get((a, b))
         if route is None:
             if a == b:
@@ -156,7 +158,7 @@ class Network:
 
     def profile_between(self, a: str, b: str) -> LinkProfile:
         """The link profile used for a message from host ``a`` to ``b``."""
-        return self._route(a, b)[0]
+        return self.route(a, b)[0]
 
     # -- occupancy ------------------------------------------------------------
 
@@ -169,7 +171,12 @@ class Network:
         message lands at the receiver.  Shared links serialize transfers,
         which is how the reproduction exhibits the Fig-5 congestion.
         """
-        profile, state = self._route(a, b)
+        return self.reserve_route(self.route(a, b), nbytes, now)
+
+    def reserve_route(self, route: tuple[LinkProfile, Optional[_LinkState]],
+                      nbytes: int, now: float) -> tuple[float, float]:
+        """:meth:`reserve` over a ``route`` from :meth:`route`."""
+        profile, state = route
         ser = self._perturb(profile.serialization_time(nbytes))
         if state is not None:
             start = max(now, state.busy_until)

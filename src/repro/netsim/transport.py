@@ -212,14 +212,13 @@ class Transport:
         the cost model.  Returns the :class:`Packet` as delivered."""
         dst_ep = self.endpoint(dst)
         th = self.kernel.current()
-        profile = self.network.profile_between(src.host, dst.host)
+        route = self.network.route(src.host, dst.host)
         n = estimate_nbytes(body) if nbytes is None else int(nbytes)
 
-        if profile.cpu_overhead:
-            self.kernel.advance(profile.cpu_overhead)
-        injection_done, arrival = self.network.reserve(
-            src.host, dst.host, n, th.now
-        )
+        cpu_overhead = route[0].cpu_overhead
+        if cpu_overhead:
+            self.kernel.advance(cpu_overhead)
+        injection_done, arrival = self.network.reserve_route(route, n, th.now)
         pkt = Packet(src=src, dst=dst, tag=tag, body=body, nbytes=n,
                      send_time=th.now, arrival=arrival)
         dst_ep.channel.push(pkt, arrival)

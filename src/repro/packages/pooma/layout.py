@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from ...core.distribution import Distribution
 
@@ -29,16 +30,18 @@ class GridLayout:
                 f"cannot split {self.ny} rows over {self.p} contexts"
             )
 
-    def _row_dist(self) -> Distribution:
-        return Distribution.block(self.ny, self.p)
+    @cached_property
+    def _rows(self) -> tuple[tuple[int, int], ...]:
+        """``(row_start, row_stop)`` of every context, computed on first
+        use (the layout is frozen, so they never change)."""
+        return tuple(ivs[0] if ivs else (0, 0)
+                     for ivs in Distribution.block(self.ny, self.p).parts)
 
     def row_start(self, rank: int) -> int:
-        ivs = self._row_dist().intervals(rank)
-        return ivs[0][0] if ivs else 0
+        return self._rows[rank][0]
 
     def row_stop(self, rank: int) -> int:
-        ivs = self._row_dist().intervals(rank)
-        return ivs[0][1] if ivs else 0
+        return self._rows[rank][1]
 
     def local_rows(self, rank: int) -> int:
         return self.row_stop(rank) - self.row_start(rank)

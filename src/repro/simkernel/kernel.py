@@ -23,6 +23,27 @@ first thread and then only waits, to be woken when the run stops: on a
 failure, when no non-daemon thread is left, when the queue drains (the
 deadlock check), or when the next event lies past ``until``.
 
+A simulation is therefore single-core by construction, and what its OS
+threads cost is the handoffs.  So each :class:`SimThread`, before it
+first waits for the baton, confines its own OS thread to one CPU,
+``kernel.cpu`` (chosen once per kernel: the CPU its constructing thread
+ran on, if allowed, else the lowest allowed one), and then sets the
+``SCHED_BATCH`` policy.  Unconfined, a handoff may wake the next thread
+on another core, and the interpreter's working set moves with it: CLI
+runs took 1.6-2.5x as long.  Confined under the default policy, the
+woken thread preempts its waker right after the release, while the
+waker still holds the GIL, so it can only sleep again until the waker
+parks: a two-thread ping-pong on one CPU measured 1.5 voluntary and
+1.2 involuntary switches per handoff.  A ``SCHED_BATCH`` thread does not
+preempt its waker, and the same handoff is one voluntary switch.  The
+policy alone, unconfined, made runs slower, so a thread whose affinity
+is refused keeps the default policy; off Linux, or where the platform
+refuses a setting, the thread runs as it was started.  The caller of
+:meth:`SimKernel.run` keeps its own settings.  OS threads started from a
+simulated thread inherit both (a BLAS pool started lazily inside a
+servant would share the one CPU); numpy starts its BLAS pool at import,
+on the caller, so ``fig2``'s solvers are unaffected.
+
 Each handoff is one release of the resumed thread's ``_go``, a raw
 ``_thread`` lock created held and used as a binary semaphore; the run's
 caller waits on ``_yield_sem``, another such lock.  A raw lock raises
@@ -60,6 +81,7 @@ from __future__ import annotations
 
 import _thread
 import enum
+import os
 import threading
 from typing import Any, Callable, Optional
 
@@ -86,6 +108,36 @@ def _held_lock():
     lock = _thread.allocate_lock()
     lock.acquire()
     return lock
+
+
+def _caller_cpu() -> int | None:
+    """The CPU for a new kernel's threads: the one the calling thread runs
+    on, if it may run there, else the lowest it may run on; None off
+    Linux."""
+    if not hasattr(os, "SCHED_BATCH"):
+        return None
+    try:
+        allowed = os.sched_getaffinity(0)
+    except OSError:
+        return None
+    try:
+        # Field 39 of the calling thread's stat (not the process's: the
+        # caller need not be the main thread); comm may hold spaces.
+        with open("/proc/thread-self/stat", "rb") as f:
+            cpu = int(f.read().rpartition(b")")[2].split()[36])
+    except (OSError, ValueError, IndexError):
+        cpu = None
+    return cpu if cpu in allowed else min(allowed)
+
+
+def _confine(cpu: int) -> None:
+    """Keep the calling OS thread on ``cpu`` under ``SCHED_BATCH``; a
+    setting the platform refuses is left as it was."""
+    try:
+        os.sched_setaffinity(0, (cpu,))
+        os.sched_setscheduler(0, os.SCHED_BATCH, os.sched_param(0))
+    except OSError:
+        pass
 
 
 class SimThread:
@@ -127,6 +179,8 @@ class SimThread:
 
     def _main(self) -> None:
         _current.thread = self
+        if self.kernel.cpu is not None:
+            _confine(self.kernel.cpu)
         try:
             self._wait_for_go()
             self.result = self.fn(*self.args, **self.kwargs)
@@ -180,6 +234,9 @@ class SimKernel:
     * ``context_switches`` counts only handoffs to a *different* thread,
       i.e. the OS thread switches the schedule actually needed.  It is
       always at most ``events_processed``.
+
+    ``cpu`` is the CPU every simulated thread of this kernel runs on,
+    chosen at construction (None where the platform cannot pin threads).
     """
 
     def __init__(self, trace: Callable[[str], None] | None = None) -> None:
@@ -195,6 +252,7 @@ class SimKernel:
         self.trace = trace
         self.context_switches = 0
         self.events_processed = 0
+        self.cpu = _caller_cpu()
 
     # -- introspection ------------------------------------------------------
 
