@@ -3,7 +3,7 @@
 # editable builds need it); with wheel available, `pip install -e .`
 # works too.
 
-.PHONY: install test bench figures trace-demo trace-fig5-demo import-time all
+.PHONY: install test bench figures trace-demo trace-fig5-demo import-time reach all
 
 install:
 	python setup.py develop
@@ -49,5 +49,10 @@ import-time:
 	@python -X importtime -c "import sys, numpy; print('--', file=sys.stderr); \
 	import repro.core, repro.idl, repro.netsim, repro.services" 2>&1 >/dev/null \
 	| sed '1,/^--$$/d; s/^import time://' | sort -t'|' -k2 -n -r | head -n 25
+
+# Which src functions no experiment, CLI trace, perfbench batch or example
+# calls, module by module, with their line counts (benchmarks/reach.py).
+reach:
+	python benchmarks/reach.py
 
 all: install test bench

@@ -144,92 +144,15 @@ def make_iterative_servant(ctx):
     return IterativeImpl()
 
 
-def generate_spd_system(n: int, seed: int = 321) -> tuple[np.ndarray, np.ndarray]:
-    """A reproducible symmetric positive-definite system (for CG)."""
-    rng = np.random.default_rng(seed + n)
-    c = rng.uniform(-1.0, 1.0, size=(n, n))
-    a = (c @ c.T) / n + np.eye(n) * 2.0
-    b = rng.uniform(-1.0, 1.0, size=n)
-    return a, b
-
-
-def cg_sweep_flops(n: int) -> float:
-    """Effective flops of one CG iteration (mat-vec + 2 dots + 3 axpys)."""
-    return 2.0 * n * n + 10.0 * n
-
-
-def make_cg_servant(ctx):
-    """Conjugate gradients, genuinely distributed: block-row mat-vec with
-    an allgather of the direction vector, dot products via allreduce.
-
-    Implements the same §4.1 ``iterative`` interface as the Jacobi
-    servant — an alternative method for the same metaapplication slot
-    (the paper's intro: "algorithm development").
-    """
-    mod = solver_stubs()
-
-    class CgImpl(mod.iterative_skel):
-        def __init__(self):
-            self.iterations_run = 0
-
-        def solve(self, tol, A, B):
-            local_a = rows_to_matrix(A.owned_data)
-            n = len(B)
-            ivs = A.dist.intervals(ctx.rank)
-            lo, hi = ivs[0] if ivs else (0, 0)
-            local_b = np.asarray(B.owned_data, dtype=float)
-
-            def matvec(v):
-                ctx.charge_flops(cg_sweep_flops(n) / ctx.nprocs)
-                return local_a @ v if hi > lo else np.zeros(0)
-
-            def dot(ul, vl):
-                local = float(ul @ vl) if len(ul) else 0.0
-                return coll.allreduce(ctx.rts, local, lambda a, b: a + b)
-
-            def assemble(local):
-                pieces = coll.allgather(ctx.rts, (lo, local))
-                full = np.zeros(n)
-                for start, block in pieces:
-                    full[start:start + len(block)] = block
-                return full
-
-            x_local = np.zeros(hi - lo)
-            r_local = local_b.copy()
-            p_local = r_local.copy()
-            rs = dot(r_local, r_local)
-            it = 0
-            for it in range(MAX_ITERATIONS):
-                if rs <= tol * tol:
-                    break
-                p_full = assemble(p_local)
-                ap_local = matvec(p_full)
-                alpha = rs / max(dot(p_local, ap_local), 1e-300)
-                x_local = x_local + alpha * p_local
-                r_local = r_local - alpha * ap_local
-                rs_new = dot(r_local, r_local)
-                p_local = r_local + (rs_new / max(rs, 1e-300)) * p_local
-                rs = rs_new
-            self.iterations_run = it
-            dist = Distribution.block(n, ctx.nprocs)
-            return DistributedSequence(B.element, dist, ctx.rank, x_local)
-
-    return CgImpl()
-
-
 def direct_server_main(ctx, object_name: str = "direct_solver"):
     """Server main: activate a direct solver and serve forever."""
     ctx.poa.activate(make_direct_servant(ctx), object_name, kind="spmd")
     ctx.poa.impl_is_ready()
 
 
-def iterative_server_main(ctx, object_name: str = "itrt_solver",
-                          method: str = "jacobi"):
-    """Iterative-solver server; ``method`` picks the algorithm behind the
-    same IDL interface ("jacobi" or "cg")."""
-    servant = (make_cg_servant(ctx) if method == "cg"
-               else make_iterative_servant(ctx))
-    ctx.poa.activate(servant, object_name, kind="spmd")
+def iterative_server_main(ctx, object_name: str = "itrt_solver"):
+    """Server main: activate a Jacobi solver and serve forever."""
+    ctx.poa.activate(make_iterative_servant(ctx), object_name, kind="spmd")
     ctx.poa.impl_is_ready()
 
 

@@ -98,3 +98,8 @@ class Simulation:
     def run(self, until: Optional[float] = None) -> float:
         """Run to completion; returns the final virtual time."""
         return self.world.run(until=until)
+
+    def close(self) -> None:
+        """End a simulation that was not run to completion (see
+        :meth:`SimKernel.close`); idempotent."""
+        self.kernel.close()

@@ -156,14 +156,12 @@ class Network:
             self._routes[(a, b)] = route
         return route
 
-    def profile_between(self, a: str, b: str) -> LinkProfile:
-        """The link profile used for a message from host ``a`` to ``b``."""
-        return self.route(a, b)[0]
-
     # -- occupancy ------------------------------------------------------------
 
-    def reserve(self, a: str, b: str, nbytes: int, now: float) -> tuple[float, float]:
-        """Account one ``nbytes`` transfer starting no earlier than ``now``.
+    def reserve_route(self, route: tuple[LinkProfile, Optional[_LinkState]],
+                      nbytes: int, now: float) -> tuple[float, float]:
+        """Account one ``nbytes`` transfer over a ``route`` from
+        :meth:`route`, starting no earlier than ``now``.
 
         Returns ``(injection_done, arrival)``: the virtual time at which the
         sender has finished pushing the message into the link (what a
@@ -171,11 +169,6 @@ class Network:
         message lands at the receiver.  Shared links serialize transfers,
         which is how the reproduction exhibits the Fig-5 congestion.
         """
-        return self.reserve_route(self.route(a, b), nbytes, now)
-
-    def reserve_route(self, route: tuple[LinkProfile, Optional[_LinkState]],
-                      nbytes: int, now: float) -> tuple[float, float]:
-        """:meth:`reserve` over a ``route`` from :meth:`route`."""
         profile, state = route
         ser = self._perturb(profile.serialization_time(nbytes))
         if state is not None:

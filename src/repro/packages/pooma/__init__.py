@@ -6,16 +6,12 @@ updates, and a PARDIS container mapping.
 
 from .field import Field
 from .layout import GridLayout
-from .layout2d import Field2D, GridLayout2D, diffusion_step_2d
 from .stencil import diffusion_step, magnitude_gradient, nine_point_stencil
 
 __all__ = [
     "Field",
-    "Field2D",
     "GridLayout",
-    "GridLayout2D",
     "diffusion_step",
-    "diffusion_step_2d",
     "magnitude_gradient",
     "nine_point_stencil",
 ]

@@ -2,8 +2,8 @@
 
 This package is the execution substrate for the whole PARDIS
 reproduction: simulated "computing threads" (real OS threads scheduled one
-at a time), timestamped message channels, and virtual-time synchronization
-primitives.  See DESIGN.md §6 for the rationale.
+at a time) and timestamped message channels, each with one receiver.
+See DESIGN.md §6 for the rationale.
 """
 
 from .channel import Channel, Envelope
@@ -16,7 +16,6 @@ from .errors import (
 )
 from .events import Event, EventQueue
 from .kernel import SimKernel, SimThread, ThreadState
-from .sync import SimBarrier, SimCondition, SimLock, SimSemaphore
 
 __all__ = [
     "Channel",
@@ -25,13 +24,9 @@ __all__ = [
     "Event",
     "EventQueue",
     "NotInSimThread",
-    "SimBarrier",
-    "SimCondition",
     "SimError",
     "SimKernel",
     "SimKilled",
-    "SimLock",
-    "SimSemaphore",
     "SimThread",
     "SimThreadFailed",
     "ThreadState",

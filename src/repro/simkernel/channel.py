@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Optional
 
+from .errors import SimError
 from .kernel import SimKernel, SimThread
 
 MatchFn = Callable[["Envelope"], bool]
@@ -29,13 +30,19 @@ class Envelope:
 
 
 class Channel:
-    """Mailbox with virtual-time delivery and predicate-matched receive."""
+    """Mailbox with virtual-time delivery and predicate-matched receive.
+
+    At most one thread may be blocked in :meth:`receive` at a time: each
+    endpoint belongs to one simulated thread, so its channel has one
+    receiver.  A second thread that blocks on the channel raises
+    :class:`SimError`.
+    """
 
     def __init__(self, kernel: SimKernel, name: str = "chan") -> None:
         self.kernel = kernel
         self.name = name
         self._queue: list[Envelope] = []
-        self._waiters: list[tuple[SimThread, Optional[MatchFn]]] = []
+        self._waiter: Optional[tuple[SimThread, Optional[MatchFn]]] = None
         self._seq = 0
 
     def __len__(self) -> int:
@@ -53,26 +60,23 @@ class Channel:
         while idx > 0 and (self._queue[idx - 1].arrival, self._queue[idx - 1].seq) > (arrival, env.seq):
             idx -= 1
         self._queue.insert(idx, env)
-        self._notify()
+        if self._waiter is not None:
+            self._notify(env)
         return env
 
-    def _notify(self) -> None:
-        """Wake any waiter whose predicate now has a matching message."""
-        if not self._waiters:
-            return
-        claimed: list[int] = []
-        for wi, (thread, match) in enumerate(self._waiters):
-            env = self._find(match, exclude=claimed)
-            if env is not None:
-                claimed.append(self._queue.index(env))
-                self.kernel.wake(thread, env.arrival)
-        # Waiters stay registered until they actually dequeue; spurious
-        # wake-ups re-block below in receive().
+    def _notify(self, env: Envelope) -> None:
+        """Wake the waiter at ``env``'s arrival if ``env`` matches.
 
-    def _find(self, match: Optional[MatchFn], exclude=()) -> Optional[Envelope]:
-        for i, env in enumerate(self._queue):
-            if i in exclude:
-                continue
+        The waiter already has a wake-up no later than the arrival of every
+        other matching message (set when it blocked, or by earlier pushes),
+        and the kernel keeps the earlier of two wake-ups, so only the new
+        message can bring it forward."""
+        thread, match = self._waiter
+        if match is None or match(env):
+            self.kernel.wake(thread, env.arrival)
+
+    def _find(self, match: Optional[MatchFn]) -> Optional[Envelope]:
+        for env in self._queue:
             if match is None or match(env):
                 return env
         return None
@@ -114,7 +118,10 @@ class Channel:
                 return env
             if deadline is not None and th.now >= deadline:
                 return None
-            self._waiters.append((th, match))
+            if self._waiter is not None:
+                raise SimError(
+                    f"{th.name} cannot block on {self.name}: "
+                    f"{self._waiter[0].name} is already waiting on it")
             if env is not None:
                 # In flight: wake at arrival, then re-check (an earlier
                 # message may have slipped in while we slept).
@@ -122,5 +129,8 @@ class Channel:
                                  if deadline is not None else env.arrival)
             elif deadline is not None:
                 self.kernel.wake(th, deadline)
-            self.kernel.block(f"{reason} on {self.name}")
-            self._waiters.remove((th, match))
+            self._waiter = (th, match)
+            try:
+                self.kernel.block(f"{reason} on {self.name}")
+            finally:
+                self._waiter = None

@@ -354,8 +354,8 @@ class SimKernel:
     def block(self, reason: str = "") -> None:
         """Suspend the calling thread until :meth:`wake` is called on it.
 
-        Used by channels, futures and synchronization primitives; user code
-        should prefer those higher-level operations.
+        Used by channels and futures; user code should prefer those
+        higher-level operations.
         """
         th = self.current()
         th.state = ThreadState.BLOCKED
@@ -439,6 +439,8 @@ class SimKernel:
         """
         if self._running:
             raise SimError("kernel.run() is not reentrant")
+        if self._finished:
+            raise SimError("kernel already finished; create a new SimKernel")
         self._running = True
         self._until = until
         self._last_time = 0.0
@@ -465,6 +467,18 @@ class SimKernel:
             self._running = False
             if until is None:
                 self._teardown()
+
+    def close(self) -> None:
+        """Kill every still-live simulated thread and join its OS thread.
+
+        For a kernel that is not run to completion: one paused by
+        ``run(until=...)``, or never run at all (``spawn`` starts each OS
+        thread at once).  Idempotent; a closed kernel neither spawns nor
+        runs again.  Raises :class:`SimError` while :meth:`run` is in
+        progress."""
+        if self._running:
+            raise SimError("cannot close a kernel while run() is in progress")
+        self._teardown()
 
     def _teardown(self) -> None:
         """Kill every still-live simulated thread and join its OS thread.

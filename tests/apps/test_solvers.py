@@ -155,74 +155,3 @@ class TestSolverServants:
         t4 = run_solver(direct_server_main, "direct_solver", invoke, nprocs=4)
         assert t4[0] < t2[0]
 
-
-class TestConjugateGradients:
-    @pytest.mark.parametrize("nprocs", [1, 2, 3])
-    def test_cg_matches_numpy(self, nprocs):
-        from repro.apps.solvers import generate_spd_system
-
-        n = 30
-        a, b = generate_spd_system(n)
-        x_ref = np.linalg.solve(a, b)
-
-        def server_main(ctx):
-            from repro.apps.solvers import iterative_server_main
-
-            iterative_server_main(ctx, "cg_solver", method="cg")
-
-        sim = Simulation(network=default_network())
-        sim.server(server_main, host="HOST_2", nprocs=nprocs)
-        out = {}
-
-        def client(ctx):
-            mod = solver_stubs()
-            s = mod.iterative._spmd_bind("cg_solver")
-            x = s.solve(1e-10, mod.matrix(matrix_as_rows(a)), mod.vector(b))
-            out["x"] = x.gather(ctx.rts, root=0)
-
-        sim.client(client, host="HOST_1", nprocs=2)
-        sim.run()
-        np.testing.assert_allclose(out["x"], x_ref, atol=1e-6)
-
-    def test_spd_system_is_spd(self):
-        from repro.apps.solvers import generate_spd_system
-
-        a, _ = generate_spd_system(40)
-        np.testing.assert_allclose(a, a.T)
-        assert np.all(np.linalg.eigvalsh(a) > 0)
-
-    def test_cg_converges_faster_than_jacobi_on_spd(self):
-        """On a well-conditioned SPD system CG needs far fewer iterations
-        (the algorithm-development angle of §4.1)."""
-        from repro.apps.solvers import generate_spd_system
-
-        n = 24
-        a, b = generate_spd_system(n)
-        counts = {}
-        for method in ("cg", "jacobi"):
-            sim = Simulation(network=default_network())
-            servant_box = {}
-
-            def server_main(ctx, m=method):
-                from repro.apps.solvers import (
-                    make_cg_servant,
-                    make_iterative_servant,
-                )
-
-                servant = (make_cg_servant(ctx) if m == "cg"
-                           else make_iterative_servant(ctx))
-                servant_box[0] = servant
-                ctx.poa.activate(servant, "it", kind="spmd")
-                ctx.poa.impl_is_ready()
-
-            sim.server(server_main, host="HOST_2", nprocs=1)
-
-            def client(ctx):
-                mod = solver_stubs()
-                s = mod.iterative._spmd_bind("it")
-                s.solve(1e-8, mod.matrix(matrix_as_rows(a)), mod.vector(b))
-
-            sim.client(client, host="HOST_1", nprocs=1)
-            sim.run()
-            counts[method] = servant_box[0].iterations_run
-        assert counts["cg"] < counts["jacobi"]

@@ -14,7 +14,7 @@ class TestDefaultNetwork:
         assert h1.nodes == 4          # 4-node SGI Onyx
         assert h2.nodes == 10         # 10-node SGI PowerChallenge
         assert h2.node_flops > h1.node_flops   # HOST_2 is the faster host
-        assert net.profile_between("HOST_1", "HOST_2") is ATM_155
+        assert net.route("HOST_1", "HOST_2")[0] is ATM_155
 
 
 class TestFacade:
@@ -41,6 +41,8 @@ class TestFacade:
         sim.client(main, host="HOST_1")
         sim.run(until=3.5)
         assert log == [1.0, 2.0, 3.0]
+        sim.close()
+        sim.close()   # idempotent
 
     def test_server_is_daemon(self):
         sim = Simulation()

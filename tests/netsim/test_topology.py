@@ -55,20 +55,20 @@ class TestHost:
 
 
 class TestNetwork:
-    def test_profile_between_hosts(self):
+    def test_route_between_hosts(self):
         net = make_net()
-        assert net.profile_between("h1", "h2") is ATM_155
-        assert net.profile_between("h2", "h1") is ATM_155
+        assert net.route("h1", "h2")[0] is ATM_155
+        assert net.route("h2", "h1")[0] is ATM_155
 
     def test_intra_host_uses_host_fabric(self):
         net = make_net()
-        assert net.profile_between("h1", "h1") is SGI_SHMEM
+        assert net.route("h1", "h1")[0] is SGI_SHMEM
 
     def test_no_route_raises(self):
         net = make_net()
         net.add_host(Host("h3", nodes=1))
         with pytest.raises(NoRouteError):
-            net.profile_between("h1", "h3")
+            net.route("h1", "h3")
 
     def test_duplicate_host_rejected(self):
         net = make_net()
@@ -88,8 +88,8 @@ class TestNetwork:
     def test_shared_link_serializes_transfers(self):
         net = make_net()
         nbytes = int(ATM_155.bandwidth)  # 1 second of serialization
-        done1, arr1 = net.reserve("h1", "h2", nbytes, now=0.0)
-        done2, arr2 = net.reserve("h1", "h2", nbytes, now=0.0)
+        done1, arr1 = net.reserve_route(net.route("h1", "h2"), nbytes, now=0.0)
+        done2, arr2 = net.reserve_route(net.route("h1", "h2"), nbytes, now=0.0)
         assert done1 == pytest.approx(1.0)
         assert done2 == pytest.approx(2.0)  # waited for the first transfer
         assert arr2 == pytest.approx(2.0 + ATM_155.latency)
@@ -97,13 +97,13 @@ class TestNetwork:
     def test_unshared_intra_fabric_does_not_serialize(self):
         net = make_net()
         nbytes = int(SGI_SHMEM.bandwidth)
-        done1, _ = net.reserve("h1", "h1", nbytes, now=0.0)
-        done2, _ = net.reserve("h1", "h1", nbytes, now=0.0)
+        done1, _ = net.reserve_route(net.route("h1", "h1"), nbytes, now=0.0)
+        done2, _ = net.reserve_route(net.route("h1", "h1"), nbytes, now=0.0)
         assert done1 == pytest.approx(done2)
 
     def test_reset_occupancy(self):
         net = make_net()
-        net.reserve("h1", "h2", int(ATM_155.bandwidth), now=0.0)
+        net.reserve_route(net.route("h1", "h2"), int(ATM_155.bandwidth), now=0.0)
         net.reset_occupancy()
-        done, _ = net.reserve("h1", "h2", 0, now=0.0)
+        done, _ = net.reserve_route(net.route("h1", "h2"), 0, now=0.0)
         assert done == pytest.approx(0.0)

@@ -2,7 +2,13 @@
 
 import pytest
 
-from repro.simkernel import Channel, DeadlockError, SimKernel
+from repro.simkernel import (
+    Channel,
+    DeadlockError,
+    SimError,
+    SimKernel,
+    SimThreadFailed,
+)
 
 
 def test_receive_already_arrived_message():
@@ -161,24 +167,48 @@ def test_receiver_woken_by_earlier_message_while_waiting_for_later():
     assert order == [("fast", 4.0), ("slow", 10.0)]
 
 
-def test_two_receivers_each_get_one_message():
+def test_second_blocked_receiver_is_refused():
+    """A channel has one receiver: a second thread that would block on it
+    fails, and the first one's slot is cleared when it is torn down."""
     k = SimKernel()
     ch = Channel(k)
-    got = []
 
-    def receiver(name):
-        got.append((name, ch.receive().payload))
+    k.spawn(lambda: ch.receive(), name="r1")
+    k.spawn(lambda: ch.receive(), name="r2")
+    with pytest.raises(SimThreadFailed, match="r2") as ei:
+        k.run()
+    assert isinstance(ei.value.original, SimError)
+    assert "r1 is already waiting" in str(ei.value.original)
+    assert ch._waiter is None
+
+
+def test_nonmatching_push_leaves_predicate_receiver_asleep():
+    """A push wakes the receiver only when the new message matches its
+    predicate: the receiver, waiting on a tag-2 message due at t=10,
+    sleeps through a tag-1 push and resumes once, at a tag-2 arrival."""
+    log = []
+    k = SimKernel(trace=log.append)
+    ch = Channel(k)
+    got = {}
+
+    def receiver():
+        env = ch.receive(match=lambda e: e.payload[0] == 2)
+        got["taken"] = (env.payload, k.now())
+        got["tag1"] = ch.peek(match=lambda e: e.payload[0] == 1)
 
     def sender():
-        k.advance(1.0)
-        ch.push("m1", arrival=2.0)
-        ch.push("m2", arrival=3.0)
+        ch.push((1, "early"), arrival=1.0)
+        ch.push((2, "sooner"), arrival=4.0)
 
-    k.spawn(receiver, "r1")
-    k.spawn(receiver, "r2")
-    k.spawn(sender)
+    k.spawn(lambda: ch.push((2, "late"), arrival=10.0), name="slow")
+    k.spawn(receiver, name="rx")
+    k.spawn(sender, name="tx")
     k.run()
-    assert sorted(p for _, p in got) == ["m1", "m2"]
+    assert [line for line in log if line.endswith("resume rx")] == [
+        "[0.000000] resume rx", "[4.000000] resume rx"]
+    assert got["taken"] == ((2, "sooner"), 4.0)
+    assert got["tag1"].payload == (1, "early")
+    assert len(ch) == 2
 
 
 def test_receive_with_no_sender_deadlocks():

@@ -769,3 +769,46 @@ def test_handoff_threads_spawned_but_never_resumed(thread_errors):
     assert k.run() == 2.0
     assert log == [0, 1, 2]
     _assert_clean(k, thread_errors)
+
+
+def test_close_ends_paused_and_never_run_kernels(thread_errors):
+    k = SimKernel()
+    unwound = []
+
+    def body():
+        try:
+            for _ in range(10):
+                k.advance(1.0)
+        finally:
+            unwound.append("body")
+
+    k.spawn(body, name="body")
+    k.spawn(lambda: k.block("never woken"), name="blocked")
+    k.spawn(lambda: None, name="new", start_time=9.0)
+    assert k.run(until=2.5) == 2.5
+    _assert_parked(k)
+    k.close()
+    assert unwound == ["body"]
+    assert all(t.state == ThreadState.DONE for t in k.threads)
+    _assert_clean(k, thread_errors)
+    k.close()                                # idempotent
+    with pytest.raises(SimError):
+        k.spawn(lambda: None)
+    with pytest.raises(SimError, match="already finished"):
+        k.run()
+
+    k = SimKernel()
+    for i in range(3):
+        k.spawn(lambda: k.advance(1.0), name=f"unrun{i}")
+    k.close()                                # spawn started the OS threads
+    _assert_clean(k, thread_errors)
+
+
+def test_close_during_run_raises(thread_errors):
+    k = SimKernel()
+    k.spawn(k.close, name="closer")
+    with pytest.raises(SimThreadFailed) as ei:
+        k.run()
+    assert isinstance(ei.value.original, SimError)
+    assert "in progress" in str(ei.value.original)
+    _assert_clean(k, thread_errors)

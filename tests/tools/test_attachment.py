@@ -138,6 +138,7 @@ def test_second_attach_raises():
     assert sim.world.transport.observers == [handle.observer.packet_trace]
     handle.detach()
     assert attach(sim.world).observer is not handle.observer
+    sim.close()
 
 
 # ---------------------------------------------------------------------------

@@ -158,7 +158,7 @@ class TestWorldIsolation:
         assert solo.transfer["schedules"] > 0
 
         sim_a, obs_a, _ = build_stats_world(mod)
-        _sim_b, obs_b, _ = build_stats_world(mod)
+        sim_b, obs_b, _ = build_stats_world(mod)
         sim_a.run()
         assert self.counts(obs_a) == self.counts(solo)
         assert obs_b.cdr_bytes == {"encoded": 0, "decoded": 0}
@@ -169,6 +169,7 @@ class TestWorldIsolation:
         unobserved.run()
         assert self.counts(obs_a) == self.counts(solo)
         assert obs_b.transfer["schedules"] == 0
+        sim_b.close()
 
     def test_redistribution_reports_to_its_world(self):
         from repro.core import Distribution
@@ -190,7 +191,7 @@ class TestWorldIsolation:
             return sim, obs
 
         sim_a, obs_a = build(True)
-        _sim_b, obs_b = build(True)
+        sim_b, obs_b = build(True)
         sim_a.run()
         build(False)[0].run()
         assert obs_a.transfer["schedules"] == 3    # one per thread
@@ -200,6 +201,7 @@ class TestWorldIsolation:
         stats = sim_a.world.transport.buffer_pool.stats
         assert stats.fast_encodes == stats.borrows > 0  # leased from world A
         assert stats.outstanding == 0
+        sim_b.close()
 
 
 class TestDisabledByDefault:
