@@ -3,7 +3,7 @@
 # editable builds need it); with wheel available, `pip install -e .`
 # works too.
 
-.PHONY: install test bench figures trace-demo trace-fig5-demo import-time reach all
+.PHONY: install test bench figures trace-demo trace-fig5-demo import-time reach knobs all
 
 install:
 	python setup.py develop
@@ -54,5 +54,11 @@ import-time:
 # calls, module by module, with their line counts (benchmarks/reach.py).
 reach:
 	python benchmarks/reach.py
+
+# Which defaulted parameters of src constructors and public functions no
+# call in src, examples, benchmarks or perfbench sets, marking the ones
+# that tests set (benchmarks/knobs.py).
+knobs:
+	python benchmarks/knobs.py
 
 all: install test bench

@@ -25,10 +25,16 @@ from .errors import BindingError, CollectiveMismatch
 from .futures import Future
 from .interfacedef import OpDef
 from .pipeline.interceptors import ClientRequestInfo
-from .pipeline.state import ClientRequestState
+from .pipeline.state import ClientRequestState, split_results
 from .repository import ObjectRef
 
 __all__ = ["Binding", "invoke"]
+
+#: Virtual cost of establishing (or, on failover, re-pointing) one binding.
+BIND_COST = 500e-6
+#: Virtual cost of a bypassed (same-program) invocation (§4.1:
+#: "invocation on a local object becomes a direct call").
+LOCAL_CALL_OVERHEAD = 2e-6
 
 
 class Binding:
@@ -58,14 +64,14 @@ class Binding:
         self._reply_to = (
             tuple(prog.address(r, PORT_ORB) for r in range(prog.nprocs))
             if collective else (ctx.endpoint.address,))
-        ctx.compute(ctx.orb.config.bind_cost)
+        ctx.compute(BIND_COST)
 
     def rebind(self, ref: ObjectRef) -> None:
         """Point this binding at another replica (failover); outstanding
         requests keep draining against the old replica."""
         self.ref = ref
         self.local = ref.program_id == self.ctx.program.program_id
-        self.ctx.compute(self.ctx.orb.config.bind_cost)
+        self.ctx.compute(BIND_COST)
 
     @property
     def client_nthreads(self) -> int:
@@ -102,13 +108,14 @@ def invoke(binding: Binding, op: OpDef, in_values: tuple,
     ``None`` for oneway operations.
     """
     ctx = binding.ctx
-    cfg = ctx.orb.config
     if len(in_values) != len(op.in_params):
         raise BindingError(
             f"{op.name} takes {len(op.in_params)} in-arguments, "
             f"got {len(in_values)}"
         )
-    if binding.collective and ctx.nprocs > 1 and cfg.collective_checks:
+    if binding.collective and ctx.nprocs > 1:
+        # Every SPMD client thread must issue the same invocation (the
+        # "request accepted by all computing threads" discipline).
         sig = (binding.uid, op.name, binding._req_seq)
         sigs = coll.allgather(ctx.rts, sig)
         if any(s != sig for s in sigs):
@@ -122,7 +129,7 @@ def invoke(binding: Binding, op: OpDef, in_values: tuple,
     # Flow control: cap unreplied requests per binding (the per-bind
     # override wins over the ORB-wide default).
     limit = (binding.max_outstanding if binding.max_outstanding is not None
-             else cfg.max_outstanding)
+             else ctx.orb.config.max_outstanding)
     while len(binding.outstanding) >= limit:
         binding.outstanding[0].progress(block=True)
 
@@ -141,7 +148,7 @@ def _invoke_local(binding: Binding, op: OpDef, in_values: tuple,
     the world's observer.
     """
     ctx = binding.ctx
-    ctx.compute(ctx.orb.config.local_call_overhead)
+    ctx.compute(LOCAL_CALL_OVERHEAD)
     record = ctx.poa._lookup_record(binding.ref.name)
     rank = ctx.rank if binding.ref.kind == "spmd" else binding.ref.owner_rank
     servant = record.servants[rank]
@@ -209,9 +216,7 @@ def _invoke_local(binding: Binding, op: OpDef, in_values: tuple,
         return result
     fut = Future(label=f"{op.name}(local)")
     fut._resolve(result)
-    out_values = (result if isinstance(result, tuple)
-                  else (result,) if result is not None else ())
     skip = 1 if op.ret_tc is not None else 0
-    for ph, val in zip(placeholders, out_values[skip:]):
+    for ph, val in zip(placeholders, split_results(op, result)[skip:]):
         ph._resolve(val)
     return fut

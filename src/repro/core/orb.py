@@ -32,51 +32,32 @@ from .repository import (
 )
 
 
-class OrbConfig(Record):
-    """Tunable ORB behaviour (several knobs exist purely so the ablation
-    benchmarks can isolate one mechanism at a time)."""
+#: Virtual cost of one repository lookup.
+REPO_LOOKUP_COST = 200e-6
+#: Activation: polling interval and give-up horizon (virtual seconds).
+ACTIVATION_POLL_INTERVAL = 2e-3
+ACTIVATION_TIMEOUT = 60.0
+#: How long a bind keeps retrying the repository for an object that is
+#: not yet registered and has no activation record (covers servers that
+#: are still starting up at bind time).
+RESOLVE_GRACE = 1.0
 
-    __slots__ = ("max_outstanding", "collective_checks", "repo_lookup_cost",
-                 "poll_cost", "local_call_overhead", "bind_cost",
-                 "activation_poll_interval", "activation_timeout",
-                 "resolve_grace", "communication_threads", "request_timeout",
-                 "interceptors")
+
+class OrbConfig(Record):
+    """The ORB behaviour an experiment or benchmark chooses per world;
+    every other cost and horizon is a module constant."""
+
+    __slots__ = ("max_outstanding", "communication_threads",
+                 "request_timeout")
 
     def __init__(self, max_outstanding: int = 1,
-                 collective_checks: bool = True,
-                 repo_lookup_cost: float = 200e-6, poll_cost: float = 1e-6,
-                 local_call_overhead: float = 2e-6, bind_cost: float = 500e-6,
-                 activation_poll_interval: float = 2e-3,
-                 activation_timeout: float = 60.0,
-                 resolve_grace: float = 1.0,
                  communication_threads: bool = False,
-                 request_timeout: Optional[float] = None,
-                 interceptors: tuple = ()) -> None:
+                 request_timeout: Optional[float] = None) -> None:
         #: Maximum unreplied requests per binding before a new invocation
         #: blocks.  The paper's transport admits one outstanding request
         #: per connection, which is what produces the Fig-5 pipeline
         #: congestion.
         self.max_outstanding = max_outstanding
-        #: Verify that all SPMD client threads issue the same invocation
-        #: (the "request accepted by all computing threads" discipline).
-        self.collective_checks = collective_checks
-        #: Virtual cost of one repository lookup.
-        self.repo_lookup_cost = repo_lookup_cost
-        #: Virtual cost charged by Future.resolved() polling.
-        self.poll_cost = poll_cost
-        #: Virtual cost of a bypassed (same-program) invocation (§4.1:
-        #: "invocation on a local object becomes a direct call").
-        self.local_call_overhead = local_call_overhead
-        #: Virtual cost of establishing one binding.
-        self.bind_cost = bind_cost
-        #: Activation: polling interval and give-up horizon (virtual
-        #: seconds).
-        self.activation_poll_interval = activation_poll_interval
-        self.activation_timeout = activation_timeout
-        #: How long a bind keeps retrying the repository for an object that
-        #: is not yet registered and has no activation record (covers
-        #: servers that are still starting up at bind time).
-        self.resolve_grace = resolve_grace
         #: When True, data is handed to a communication thread and the
         #: compute thread does not pay serialization time (the paper's §6
         #: future-work experiment; exercised by the commthreads ablation).
@@ -85,10 +66,6 @@ class OrbConfig(Record):
         #: forever).  A timed-out request fails with a SystemException on
         #: all of its futures.
         self.request_timeout = request_timeout
-        #: Portable interceptors registered at ORB construction (instances
-        #: of repro.core.pipeline.RequestInterceptor); more can be added
-        #: later via ORB.register_interceptor.
-        self.interceptors = interceptors
 
 
 class ActivationAgent:
@@ -149,8 +126,9 @@ class ORB:
         #: orphaned result fragments drained by a failed client request
         self.dead_result_fragments = 0
         #: portable-interceptor chain shared by every program's request
-        #: path in this world; empty by default (zero hot-path cost)
-        self.interceptors = InterceptorChain(self.config.interceptors)
+        #: path in this world; empty until register_interceptor (zero
+        #: hot-path cost)
+        self.interceptors = InterceptorChain()
         #: request-lifecycle observer (set by repro.tools.attach):
         #: the one seam through which the request state machines, the
         #: POA and the fragment courier report spans, request lifecycles,
@@ -217,7 +195,7 @@ class ORB:
     def resolve(self, name: str, ctx: "PardisContext") -> ObjectRef:
         """Find (or activate) the object ``name`` in the context's
         namespace; charges the lookup cost to the calling thread."""
-        ctx.rts.compute(self.config.repo_lookup_cost)
+        ctx.rts.compute(REPO_LOOKUP_COST)
         repo = self.repository(ctx.namespace)
         if repo.contains(name):
             return repo.lookup(name)
@@ -225,9 +203,9 @@ class ORB:
         if record is None:
             # No activation record: give a still-starting server a grace
             # window to register before giving up.
-            deadline = ctx.now() + self.config.resolve_grace
+            deadline = ctx.now() + RESOLVE_GRACE
             while ctx.now() < deadline:
-                ctx.rts.compute(self.config.activation_poll_interval)
+                ctx.rts.compute(ACTIVATION_POLL_INTERVAL)
                 if repo.contains(name):
                     return repo.lookup(name)
             raise ObjectNotFound(
@@ -239,14 +217,14 @@ class ORB:
                 f"no activation agent on host {record.host!r} for {name!r}"
             )
         agent.activate(record, ctx.namespace)
-        deadline = ctx.now() + self.config.activation_timeout
+        deadline = ctx.now() + ACTIVATION_TIMEOUT
         while not repo.contains(name):
             if ctx.now() > deadline:
                 raise ActivationError(
                     f"activation of {name!r} timed out after "
-                    f"{self.config.activation_timeout}s"
+                    f"{ACTIVATION_TIMEOUT}s"
                 )
-            ctx.rts.compute(self.config.activation_poll_interval)
+            ctx.rts.compute(ACTIVATION_POLL_INTERVAL)
         return repo.lookup(name)
 
     # -- program launching -----------------------------------------------------------

@@ -199,14 +199,12 @@ class InterceptorChain:
     __slots__ = ("_interceptors", "_points", "active",
                  "finish_request_errors")
 
-    def __init__(self, interceptors=()) -> None:
+    def __init__(self) -> None:
         self._interceptors: list[RequestInterceptor] = []
         self._points: dict[str, tuple] = {}
         self.active = False
         self.finish_request_errors = 0
         self._rebuild()
-        for icept in interceptors:
-            self.add(icept)
 
     # -- registration ------------------------------------------------------
 

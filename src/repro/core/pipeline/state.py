@@ -69,7 +69,23 @@ from ..request import (
 from .courier import FragmentCourier, release_fragment
 from .interceptors import ClientRequestInfo, ServerRequestInfo
 
-__all__ = ["ClientRequestState", "ServerRequestState"]
+__all__ = ["ClientRequestState", "ServerRequestState", "split_results"]
+
+#: Virtual cost charged by one non-blocking ``Future.resolved()`` poll.
+POLL_COST = 1e-6
+
+
+def split_results(op: OpDef, result) -> tuple:
+    """A servant's return value as one value per result slot (the return
+    value first, then each out parameter).  A tuple is unpacked only when
+    more than one slot is expected: a single slot's value may itself be
+    a tuple (e.g. a union)."""
+    nslots = (op.ret_tc is not None) + len(op.out_params)
+    if nslots == 0:
+        return ()
+    if nslots == 1:
+        return (result,)
+    return result if isinstance(result, tuple) else (result,)
 
 
 def _encoded(ctx, data: bytes) -> bytes:
@@ -306,7 +322,7 @@ class ClientRequestState:
 
     def _progress_hook(self, block: bool) -> None:
         if not block:
-            self.ctx.compute(self.ctx.orb.config.poll_cost)
+            self.ctx.compute(POLL_COST)
         self.progress(block)
 
     def progress(self, block: bool) -> bool:
@@ -745,22 +761,14 @@ class ServerRequestState:
         expected = ([] if op.ret_tc is None else ["__return"]) + [
             p.name for p in op.out_params
         ]
-        if not expected:
-            out_values: dict[str, Any] = {}
-        else:
-            # Only unpack tuples when more than one slot is expected: a
-            # single return value may itself be a tuple (e.g. a union).
-            if len(expected) == 1:
-                seq = (result,)
-            else:
-                seq = result if isinstance(result, tuple) else (result,)
-            if len(seq) != len(expected):
-                msg = (f"servant {op.name} returned {len(seq)} values, "
-                       f"expected {len(expected)}")
-                self._reject(SystemException(msg), wire_exc=msg,
-                             respect_oneway=True)
-                return
-            out_values = dict(zip(expected, seq))
+        seq = split_results(op, result)
+        if len(seq) != len(expected):
+            msg = (f"servant {op.name} returned {len(seq)} values, "
+                   f"expected {len(expected)}")
+            self._reject(SystemException(msg), wire_exc=msg,
+                         respect_oneway=True)
+            return
+        out_values = dict(zip(expected, seq))
 
         dseq_outs: dict[str, tuple] = {}
         frag_plan = []

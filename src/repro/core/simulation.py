@@ -32,9 +32,8 @@ class Simulation:
     """One PARDIS deployment: topology + ORB + programs."""
 
     def __init__(self, network: Optional[Network] = None,
-                 config: Optional[OrbConfig] = None,
-                 trace: Callable[[str], None] | None = None) -> None:
-        self.world = World(network or default_network(), trace=trace)
+                 config: Optional[OrbConfig] = None) -> None:
+        self.world = World(network or default_network())
         self.orb = ORB(self.world, config)
 
     @property

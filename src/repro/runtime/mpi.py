@@ -65,10 +65,6 @@ class MPIRuntime(RuntimeSystem):
 
     def compute(self, seconds: float) -> None:
         host = self._program.host_obj
-        meter = self._program.world.services.get("compute_meter")
-        if meter is not None and seconds > 0:
-            meter.charge(host.name, self._program.address(self._rank).node,
-                         seconds)
         if host.timeshared and seconds > 0:
             node = self._program.address(self._rank).node
             end = self._program.world.network.reserve_node(

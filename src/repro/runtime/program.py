@@ -23,9 +23,8 @@ PORTS_PER_PROGRAM = 8
 class World:
     """Kernel + network + transport + program registry for one simulation."""
 
-    def __init__(self, network: Optional[Network] = None,
-                 trace: Callable[[str], None] | None = None) -> None:
-        self.kernel = SimKernel(trace=trace)
+    def __init__(self, network: Optional[Network] = None) -> None:
+        self.kernel = SimKernel()
         self.network = network if network is not None else Network()
         self.transport = Transport(self.kernel, self.network)
         self.programs: list[ParallelProgram] = []

@@ -47,19 +47,22 @@ __all__ = ["AdmissionController", "PriorityInterceptor", "SCHEDULING_POLICIES"]
 SCHEDULING_POLICIES = ("fifo", "priority", "edf")
 
 
+#: Queue depth, as a fraction of capacity, from which replies carry a
+#: backpressure hint.
+HIGH_WATERMARK = 0.75
+#: The client back-off (virtual s) that a backpressure hint suggests.
+BACKOFF_HINT = 5e-3
+
+
 class AdmissionController:
     """Bounded request queue + scheduling policy for one POA thread.
 
     ``capacity`` bounds *queued* (not yet dispatched) direct requests;
-    ``high_watermark`` (fraction of capacity) is where backpressure
-    hints start; ``backoff_hint`` is the suggested client back-off in
-    virtual seconds carried by those hints.
+    from :data:`HIGH_WATERMARK` of it on, replies carry a
+    :data:`BACKOFF_HINT` backpressure hint.
     """
 
-    def __init__(self, capacity: int = 16, policy: str = "fifo",
-                 high_watermark: float = 0.75,
-                 backoff_hint: float = 5e-3,
-                 sweep_budget: Optional[int] = None) -> None:
+    def __init__(self, capacity: int = 16, policy: str = "fifo") -> None:
         if policy not in SCHEDULING_POLICIES:
             raise ValueError(
                 f"unknown scheduling policy {policy!r}; "
@@ -69,16 +72,13 @@ class AdmissionController:
             raise ValueError("admission capacity must be >= 1")
         self.capacity = capacity
         self.policy = policy
-        self.high_watermark = high_watermark
-        self.backoff_hint = backoff_hint
         #: max arrivals swept (admitted or shed) per scheduling decision.
         #: Shedding costs virtual time (the refusal reply goes over the
         #: transport), so an unbounded sweep under sustained overload
         #: keeps finding fresh retries and never returns to serving the
         #: queue — a receive livelock.  Bounding the sweep guarantees
         #: queued requests are served between bursts of shedding.
-        self.sweep_budget = (sweep_budget if sweep_budget is not None
-                             else max(2 * capacity, 8))
+        self.sweep_budget = max(2 * capacity, 8)
         self.ctx = None
         #: (header, enqueue time, arrival seq) of queued direct requests
         self._queue: list[tuple[RequestHeader, float, int]] = []
@@ -166,8 +166,8 @@ class AdmissionController:
             "queue_depth": depth,
             "capacity": self.capacity,
         }
-        if depth >= self.high_watermark * self.capacity:
-            contexts[BACKPRESSURE_CONTEXT] = self.backoff_hint
+        if depth >= HIGH_WATERMARK * self.capacity:
+            contexts[BACKPRESSURE_CONTEXT] = BACKOFF_HINT
 
     def __repr__(self) -> str:
         return (f"<AdmissionController {self.policy} depth="

@@ -34,6 +34,7 @@ from ..core.errors import (
     UserException,
 )
 from ..core.invocation import invoke
+from ..core.orb import REPO_LOOKUP_COST
 from ..core.pipeline.interceptors import ClientRequestInfo, RequestInterceptor
 from ..core.repository import ObjectRef
 from ..core.request import LOAD_CONTEXT
@@ -189,7 +190,7 @@ class ReplicaGroup:
     def probe_all(self, ctx) -> dict[int, str]:
         """Sweep every registered replica, marking dead ones; returns the
         health map.  Charges one lookup cost."""
-        ctx.rts.compute(self.orb.config.repo_lookup_cost)
+        ctx.rts.compute(REPO_LOOKUP_COST)
         repo = self.orb.repository(self.namespace)
         for ref in repo.lookup_all(self.name):
             if not self.probe(ref):
@@ -246,7 +247,7 @@ class ReplicaGroup:
         over SUSPECT ones.
         """
         self.selections += 1
-        ctx.rts.compute(self.orb.config.repo_lookup_cost)
+        ctx.rts.compute(REPO_LOOKUP_COST)
         repo = self.orb.repository(self.namespace)
         alive = []
         for ref in repo.lookup_all(self.name):

@@ -22,30 +22,37 @@ from ..core.request import BACKPRESSURE_CONTEXT, OVERLOAD_CONTEXT
 
 __all__ = ["ThrottleInterceptor"]
 
+#: First delay after a shed reply (virtual s); each further shed
+#: multiplies the delay by BACKOFF_MULTIPLIER, up to MAX_BACKOFF.
+BASE_BACKOFF = 1e-3
+BACKOFF_MULTIPLIER = 2.0
+MAX_BACKOFF = 0.25
+#: Factor applied to the delay by each clean reply without a hint; a
+#: delay below BASE_BACKOFF / 4 is dropped.
+BACKOFF_DECAY = 0.5
+#: Every applied delay is scaled by a uniform factor in
+#: [1 - BACKOFF_JITTER, 1 + BACKOFF_JITTER].
+BACKOFF_JITTER = 0.2
+
 
 class ThrottleInterceptor(RequestInterceptor):
     """Backs off request emission per client thread.
 
     * an **overload** reply (request shed) multiplies the thread's delay
-      (``base_backoff`` at first, then exponential up to ``max_backoff``);
+      (:data:`BASE_BACKOFF` at first, then exponential up to
+      :data:`MAX_BACKOFF`);
     * a **backpressure** hint on any reply raises the delay to at least
       the server's suggested value;
     * a clean reply with no hint decays the delay toward zero.
 
-    Every applied delay is jittered by up to ±``jitter`` (fraction) to
-    de-synchronize retrying clients.
+    Every applied delay is jittered by up to ±:data:`BACKOFF_JITTER`
+    (fraction) to de-synchronize retrying clients; ``seed`` seeds that
+    jitter.
     """
 
     name = "throttle"
 
-    def __init__(self, base_backoff: float = 1e-3, multiplier: float = 2.0,
-                 max_backoff: float = 0.25, decay: float = 0.5,
-                 jitter: float = 0.2, seed: int = 0) -> None:
-        self.base_backoff = base_backoff
-        self.multiplier = multiplier
-        self.max_backoff = max_backoff
-        self.decay = decay
-        self.jitter = jitter
+    def __init__(self, seed: int = 0) -> None:
         self._rng = random.Random(seed)
         #: (program_id, thread rank) -> current pre-send delay
         self._delay: dict[tuple, float] = {}
@@ -56,17 +63,13 @@ class ThrottleInterceptor(RequestInterceptor):
     def _key(self, info: ClientRequestInfo) -> tuple:
         return (info.ctx.program.program_id, info.ctx.rank)
 
-    def _jittered(self, delay: float) -> float:
-        if self.jitter <= 0.0:
-            return delay
-        return delay * (1.0 + self.jitter * (2.0 * self._rng.random() - 1.0))
-
     # -- interception points -------------------------------------------------
 
     def send_request(self, info: ClientRequestInfo) -> None:
         delay = self._delay.get(self._key(info), 0.0)
         if delay > 0.0:
-            pause = self._jittered(delay)
+            pause = delay * (1.0 + BACKOFF_JITTER
+                             * (2.0 * self._rng.random() - 1.0))
             self.throttled += 1
             self.total_backoff += pause
             info.ctx.compute(pause)
@@ -75,13 +78,13 @@ class ThrottleInterceptor(RequestInterceptor):
         key = self._key(info)
         hint = info.reply_service_contexts.get(BACKPRESSURE_CONTEXT)
         if hint:
-            self._delay[key] = min(self.max_backoff,
+            self._delay[key] = min(MAX_BACKOFF,
                                    max(self._delay.get(key, 0.0), hint))
             return
         current = self._delay.get(key, 0.0)
         if current > 0.0:
-            decayed = current * self.decay
-            if decayed < self.base_backoff / 4.0:
+            decayed = current * BACKOFF_DECAY
+            if decayed < BASE_BACKOFF / 4.0:
                 self._delay.pop(key, None)
             else:
                 self._delay[key] = decayed
@@ -91,7 +94,7 @@ class ThrottleInterceptor(RequestInterceptor):
             return
         key = self._key(info)
         current = self._delay.get(key, 0.0)
-        grown = (self.base_backoff if current <= 0.0
-                 else current * self.multiplier)
+        grown = (BASE_BACKOFF if current <= 0.0
+                 else current * BACKOFF_MULTIPLIER)
         hint = info.reply_service_contexts.get(BACKPRESSURE_CONTEXT, 0.0)
-        self._delay[key] = min(self.max_backoff, max(grown, hint))
+        self._delay[key] = min(MAX_BACKOFF, max(grown, hint))

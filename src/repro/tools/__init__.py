@@ -1,12 +1,11 @@
 """Operator tooling: packet tracing, lifecycle observation, distributed
 tracing, metrics, summaries.
 
-``attach(world, tracing=..., metrics=..., meter=...)`` is the one way to
+``attach(world, tracing=..., metrics=...)`` is the one way to
 instrument a world; it returns an :class:`Instruments` handle whose
 ``detach()`` undoes it."""
 
 from .instruments import Instruments, attach
-from .metrics import ComputeMeter
 from .observe import (
     RequestObserver,
     Span,
@@ -21,12 +20,11 @@ from .registry import (
 from .trace import PacketTrace, RingBuffer, TraceRecord
 from .tracing import (
     TRACE_CONTEXT,
-    HeadSampling,
     TraceContext,
     TracingInterceptor,
 )
 
-__all__ = ["ComputeMeter", "HeadSampling", "Instruments", "MetricsRegistry",
+__all__ = ["Instruments", "MetricsRegistry",
            "PacketTrace", "RequestObserver", "RingBuffer", "Span",
            "TRACE_CONTEXT", "TraceContext", "TraceRecord", "TraceSession",
            "TracingInterceptor", "attach", "flatten_snapshot",

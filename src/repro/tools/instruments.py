@@ -2,10 +2,9 @@
 
 :func:`attach` is the only way to instrument a world.  It installs a
 :class:`~repro.tools.observe.RequestObserver` and, on request, a
-:class:`~repro.tools.tracing.TracingInterceptor`, a
-:class:`~repro.tools.registry.MetricsRegistry` and a
-:class:`~repro.tools.metrics.ComputeMeter`, and makes every link between
-them and the world here, in one place.  The returned
+:class:`~repro.tools.tracing.TracingInterceptor` and a
+:class:`~repro.tools.registry.MetricsRegistry`, and makes every link
+between them and the world here, in one place.  The returned
 :class:`Instruments` handle names what was installed, and its
 :meth:`~Instruments.detach` undoes every hook.
 
@@ -16,7 +15,6 @@ The world's hooks, all set by :func:`attach`:
 * ``transport.observers`` — the observer's packet trace;
 * ``world.services["observer"]`` — read by the fragment courier's
   redistribution, which runs below the ORB;
-* ``world.services["compute_meter"]`` — read by ``MPIRuntime.compute``;
 * the interceptor chain — the tracer, when ``tracing=True``.
 
 Everything belongs to ``world``: instruments of other worlds in the same
@@ -28,10 +26,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
-from .metrics import ComputeMeter
 from .observe import RequestObserver
 from .registry import MetricsRegistry, _world_registry
-from .tracing import HeadSampling, TracingInterceptor
+from .tracing import TracingInterceptor
 
 __all__ = ["Instruments", "attach"]
 
@@ -44,7 +41,6 @@ class Instruments:
     observer: RequestObserver
     tracer: Optional[TracingInterceptor] = None
     registry: Optional[MetricsRegistry] = None
-    meter: Optional[ComputeMeter] = None
     _world: Any = field(default=None, repr=False)
 
     def detach(self) -> None:
@@ -67,22 +63,16 @@ class Instruments:
         if self.tracer is not None:
             orb.unregister_interceptor(self.tracer)
             self.tracer.observer = obs.tracer = None
-        if self.meter is not None:
-            del world.services["compute_meter"]
 
 
 def attach(world, *, tracing: bool = False, metrics: bool = False,
-           meter: bool = False, label: str = "",
-           sampler: Optional[HeadSampling] = None,
-           always_on_error: bool = True) -> Instruments:
+           label: str = "") -> Instruments:
     """Instrument ``world`` (before ``run()``); returns the handle.
 
     The observer is always installed.  ``tracing`` adds a tracer on the
-    interceptor chain whose contexts annotate every span (``sampler`` and
-    ``always_on_error`` configure it); ``metrics`` a registry collecting
-    every layer's counters; ``meter`` per-node compute accounting, shown
-    in the observer's report.  Raises ``ValueError`` if the world is
-    already instrumented.
+    interceptor chain whose contexts annotate every span; ``metrics`` a
+    registry collecting every layer's counters.  Raises ``ValueError`` if
+    the world is already instrumented.
     """
     orb = world.services["orb"]
     if orb.observer is not None:
@@ -96,15 +86,11 @@ def attach(world, *, tracing: bool = False, metrics: bool = False,
     world.transport.observers.append(obs.packet_trace)
     handle = Instruments(obs, _world=world)
     if tracing:
-        tracer = TracingInterceptor(sampler=sampler,
-                                    always_on_error=always_on_error)
+        tracer = TracingInterceptor()
         orb.register_interceptor(tracer)
         tracer.observer = obs
         obs.tracer = handle.tracer = tracer
-    if meter:
-        obs.meter = handle.meter = ComputeMeter()
-        world.services["compute_meter"] = handle.meter
     if metrics:
-        handle.registry = _world_registry(world, handle.tracer, handle.meter)
+        handle.registry = _world_registry(world, handle.tracer)
         obs.bind_metrics(handle.registry)
     return handle

@@ -22,9 +22,8 @@ reply      server  reply header + result-fragment injection
 The observer also owns a :class:`~repro.tools.trace.PacketTrace` (every
 packet the transport moves), CDR byte counters and transfer-schedule
 counters fed by this world's ORB (request state machines and fragment
-courier), and — when a :class:`~repro.tools.metrics.ComputeMeter` is
-linked — per-node compute utilization.  One observer therefore answers
-"where did this request spend its time".
+courier).  One observer therefore answers "where did this request spend
+its time".
 
 Instrumentation is **off by default**: the ORB reaches the observer
 through one seam, ``orb.observer``, and every emit site costs one
@@ -33,7 +32,7 @@ attribute load plus a ``None`` test until
 interceptor; the interceptor chain stays empty unless something else
 registers on it.  :func:`~repro.tools.attach` also makes every link
 between the instruments of one world (observer, tracer, metrics
-registry, compute meter).
+registry).
 
 When a :class:`~repro.tools.tracing.TracingInterceptor` is linked
 (``attach(world, tracing=True)``), every span is annotated with its
@@ -126,6 +125,20 @@ def _percentile(sorted_vals: list, q: float) -> float:
     return sorted_vals[lo] * (1 - frac) + sorted_vals[hi] * frac
 
 
+def zero_copy_summary(stats) -> str:
+    """One-line summary of a :class:`repro.cdr.buffers.ZeroCopyStats`
+    (the zero-copy marshaling lane + its buffer pool)."""
+    borrows = stats.borrows
+    hit_pct = 100.0 * stats.pool_hits / borrows if borrows else 0.0
+    return (
+        f"zero-copy lane: {stats.fast_encodes} fast encodes "
+        f"({stats.bytes_fast} bytes), {stats.fast_decodes} fast decodes, "
+        f"{stats.fallback_encodes}/{stats.fallback_decodes} fallback "
+        f"enc/dec; pool: {borrows} leases, {hit_pct:.0f}% reuse, "
+        f"{stats.outstanding} outstanding"
+    )
+
+
 def _deep_t1(node: dict, children: dict) -> float:
     """Latest end time in a trace subtree."""
     t1 = node["t1"]
@@ -152,16 +165,10 @@ class RequestObserver:
         #: transfer-schedule lookups of this world's fragment courier
         self.transfer = {"schedules": 0, "fragments": 0, "elements": 0}
         #: links set by repro.tools.attach: the world transport's
-        #: ZeroCopyStats, its ORB, the tracer and the compute meter
+        #: ZeroCopyStats, its ORB and the tracer
         self.zero_copy = None
         self.orb = None
         self.tracer = None
-        self.meter = None
-        #: spans of not-yet-terminal unsampled requests, held back for the
-        #: always-on-error promotion: (req, side, rank) -> [Span, ...]
-        self._held: dict[tuple, list] = {}
-        self.spans_unsampled = 0   # discarded by the sampling verdict
-        self.spans_promoted = 0    # kept anyway because the request failed
         #: registry hooks set by bind_metrics
         self._phase_hist = None
         self._request_hist = None
@@ -172,36 +179,15 @@ class RequestObserver:
              t0: float, t1: float, nbytes: int = 0) -> None:
         req_s = str(req)
         trace_id = span_id = parent_id = ""
-        sampled = True
-        side = PHASE_SIDE.get(phase, "client")
         if self.tracer is not None:
-            tctx = self.tracer.lookup(req_s, side)
+            tctx = self.tracer.lookup(req_s, PHASE_SIDE.get(phase, "client"))
             if tctx is not None:
                 trace_id, span_id, parent_id = (
                     tctx.trace_id, tctx.span_id, tctx.parent_id)
-                sampled = tctx.sampled
-        span = Span(phase, op, req_s, program, rank, t0, t1, nbytes,
-                    trace_id, span_id, parent_id)
         if self._phase_hist is not None:
             self._phase_hist.labels(phase=phase, op=op).observe(t1 - t0)
-        if sampled:
-            self.spans.append(span)
-        elif self.tracer.always_on_error:
-            self._held.setdefault((req_s, side, rank), []).append(span)
-        else:
-            self.spans_unsampled += 1
-
-    def _resolve_trace(self, req, side: str, rank: int, error: bool) -> None:
-        """An unsampled request reached a terminal state on one thread:
-        promote its held-back spans if it failed, discard otherwise."""
-        held = self._held.pop((str(req), side, rank), None)
-        if held is None:
-            return
-        if error:
-            self.spans.extend(held)
-            self.spans_promoted += len(held)
-        else:
-            self.spans_unsampled += len(held)
+        self.spans.append(Span(phase, op, req_s, program, rank, t0, t1,
+                               nbytes, trace_id, span_id, parent_id))
 
     def request_started(self, req, op: str, program: str, rank: int,
                         t0: float) -> None:
@@ -222,9 +208,6 @@ class RequestObserver:
             if self._request_hist is not None:
                 self._request_hist.labels(op=rec[0], status=status) \
                     .observe(t1 - rec[1])
-        if self.tracer is not None and self.tracer.always_on_error:
-            self._resolve_trace(req, "client", rank,
-                                error=status == "failed")
 
     # -- metrics-registry binding (repro.tools.registry) -------------------
 
@@ -256,7 +239,6 @@ class RequestObserver:
             drops.labels(store="spans").set(self.spans.dropped)
             drops.labels(store="packets").set(self.packet_trace.dropped)
             drops.labels(store="requests").set(self.requests_dropped)
-            drops.labels(store="spans_unsampled").set(self.spans_unsampled)
 
     # -- byte and schedule meter (called by repro.core.pipeline) ----------
 
@@ -521,13 +503,11 @@ class RequestObserver:
 
         dropped = (self.spans.dropped + self.packet_trace.dropped
                    + self.requests_dropped)
-        if dropped or self.spans_unsampled or self.spans_promoted:
+        if dropped:
             lines.append(
                 f"  store drops: {self.spans.dropped} spans, "
                 f"{self.packet_trace.dropped} packets, "
-                f"{self.requests_dropped} requests (ring buffers full); "
-                f"{self.spans_unsampled} spans discarded unsampled, "
-                f"{self.spans_promoted} promoted on error"
+                f"{self.requests_dropped} requests (ring buffers full)"
             )
         if self.orb is not None and (self.orb.dead_fragments
                                      or self.orb.dead_result_fragments):
@@ -547,17 +527,10 @@ class RequestObserver:
                      f"({self.transfer['fragments']} fragments, "
                      f"{self.transfer['elements']} elements)")
         if self.zero_copy is not None:
-            from .metrics import zero_copy_summary
-
             lines.append("  " + zero_copy_summary(self.zero_copy))
         if len(self.packet_trace):
             lines.append("  " + self.packet_trace.summary()
                          .replace("\n", "\n  "))
-        if self.meter is not None and self.meter.busy:
-            elapsed = max((s.t1 for s in self.spans), default=0.0)
-            if elapsed > 0:
-                lines.append("  " + self.meter.report(elapsed)
-                             .replace("\n", "\n  "))
         return "\n".join(lines)
 
 

@@ -1,9 +1,9 @@
 """Unified metrics registry with Prometheus-text and JSON exporters.
 
-PR 1-3 grew observability counters in four unrelated shapes —
-``RequestObserver`` dicts, ``ComputeMeter.busy``, ``ZeroCopyStats``
-slots, ``Transport.packets_sent`` attributes — each with its own ad-hoc
-report string.  A :class:`MetricsRegistry` gives them one publication
+Observability counters live in three unrelated shapes —
+``RequestObserver`` dicts, ``ZeroCopyStats`` slots,
+``Transport.packets_sent`` attributes — each with its own ad-hoc report
+string.  A :class:`MetricsRegistry` gives them one publication
 surface: labeled counters, gauges, and bounded log-bucketed histograms,
 exported as a plain-dict snapshot, JSON, or Prometheus text exposition.
 
@@ -21,7 +21,7 @@ Two feeding models coexist:
 standard sources into one registry — ORB request and dead-letter
 counters, transport packet/byte totals, the buffer pool's
 :class:`~repro.cdr.buffers.ZeroCopyStats`, the admission and replica
-counters, a :class:`~repro.tools.metrics.ComputeMeter`, the
+counters, the
 :class:`~repro.tools.tracing.TracingInterceptor` counters and the
 :class:`~repro.tools.observe.RequestObserver` (which also starts pushing
 latency histograms).
@@ -353,10 +353,10 @@ def parse_prometheus_text(text: str) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _world_registry(world, tracer=None, meter=None) -> MetricsRegistry:
+def _world_registry(world, tracer=None) -> MetricsRegistry:
     """A registry with pull-model collectors over ``world``'s ORB,
-    transport and buffer pool, and over ``tracer`` and ``meter`` when
-    given (the observer binds itself afterwards, see
+    transport and buffer pool, and over ``tracer`` when given (the
+    observer binds itself afterwards, see
     :meth:`~repro.tools.observe.RequestObserver.bind_metrics`).  Called
     by :func:`repro.tools.attach`, which makes every link."""
     reg = MetricsRegistry()
@@ -453,16 +453,6 @@ def _world_registry(world, tracer=None, meter=None) -> MetricsRegistry:
                 group.selections)
             for pid, load in group.known_loads().items():
                 replica_load.labels(object=name, program_id=pid).set(load)
-
-    if meter is not None:
-        busy = reg.gauge("pardis_compute_busy_seconds",
-                         "virtual compute seconds charged per node",
-                         ("host", "node"))
-
-        @reg.register_collector
-        def _collect_meter() -> None:
-            for (host, node), seconds in meter.busy.items():
-                busy.labels(host=host, node=node).set(seconds)
 
     if tracer is not None:
         trace_events = reg.counter("pardis_trace_events_total",

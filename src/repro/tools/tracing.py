@@ -13,8 +13,7 @@ bypasses — joins one trace.
 Wire format, under the :data:`TRACE_CONTEXT` key (``"pardis.trace"``)::
 
     {"trace_id": "16-hex-chars",   # whole-journey id
-     "span_id":  "16-hex-chars",   # the sender's span (receiver's parent)
-     "sampled":  bool}             # head-based sampling verdict
+     "span_id":  "16-hex-chars"}   # the sender's span (receiver's parent)
 
 Replies echo the *server's* context back under the same key, so clients
 can attribute per-hop latency without a collector.  The context is not
@@ -31,10 +30,7 @@ no randomness), which buys two properties the simulator needs:
   model (§3.1);
 * traces are reproducible run-to-run, so tests can assert on structure.
 
-Sampling is **head-based** (the root decides once, deterministically on
-the trace id, and every downstream hop inherits the verdict) with an
-**always-on-error** escape hatch: unsampled spans are buffered by the
-observer and promoted to the permanent store when their request fails.
+Every trace is recorded: there is no sampling.
 
 The interceptor implements only the interception points.  Spans are
 recorded by the world's observer, which the ORB feeds through
@@ -61,12 +57,13 @@ from ..simkernel import SimKernel
 __all__ = [
     "TRACE_CONTEXT",
     "TraceContext",
-    "HeadSampling",
     "TracingInterceptor",
 ]
 
 #: SimThread-local key holding the stack of open trace scopes
 _STACK_KEY = "pardis.trace_stack"
+#: Entries the request -> context index keeps before evicting the oldest
+INDEX_CAPACITY = 8192
 
 
 def _derive(text: str) -> str:
@@ -82,53 +79,31 @@ class TraceContext:
     ``c:``/``s:`` prefix plus the request-id hash, so both sides of both
     this and every nested request get distinct ids from *one* hash
     apiece; ``parent_id`` the span that caused it (empty for a root).
-    ``sampled`` is the head-based verdict the root made — downstream
-    hops inherit it unchanged.
 
     (A ``__slots__`` class rather than a dataclass: two of these are
     created per traced request, on the budget-gated hot path.)
     """
 
-    __slots__ = ("trace_id", "span_id", "parent_id", "sampled")
+    __slots__ = ("trace_id", "span_id", "parent_id")
 
-    def __init__(self, trace_id: str, span_id: str, parent_id: str = "",
-                 sampled: bool = True) -> None:
+    def __init__(self, trace_id: str, span_id: str,
+                 parent_id: str = "") -> None:
         self.trace_id = trace_id
         self.span_id = span_id
         self.parent_id = parent_id
-        self.sampled = sampled
 
     def to_wire(self) -> dict:
-        return {"trace_id": self.trace_id, "span_id": self.span_id,
-                "sampled": self.sampled}
+        return {"trace_id": self.trace_id, "span_id": self.span_id}
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, TraceContext)
                 and self.trace_id == other.trace_id
                 and self.span_id == other.span_id
-                and self.parent_id == other.parent_id
-                and self.sampled == other.sampled)
+                and self.parent_id == other.parent_id)
 
     def __repr__(self) -> str:
         return (f"TraceContext(trace_id={self.trace_id!r}, "
-                f"span_id={self.span_id!r}, parent_id={self.parent_id!r}, "
-                f"sampled={self.sampled!r})")
-
-
-class HeadSampling:
-    """Deterministic head-based sampling: the decision is a pure function
-    of the trace id, so every SPMD thread of a collective invocation —
-    and every downstream hop — reaches the same verdict independently."""
-
-    def __init__(self, rate: float = 1.0) -> None:
-        self.rate = rate
-
-    def sample(self, trace_id: str) -> bool:
-        if self.rate >= 1.0:
-            return True
-        if self.rate <= 0.0:
-            return False
-        return int(trace_id, 16) % 10_000 < round(self.rate * 10_000)
+                f"span_id={self.span_id!r}, parent_id={self.parent_id!r})")
 
 
 class TracingInterceptor(RequestInterceptor):
@@ -145,12 +120,7 @@ class TracingInterceptor(RequestInterceptor):
 
     name = "tracing"
 
-    def __init__(self, sampler: Optional[HeadSampling] = None,
-                 always_on_error: bool = True,
-                 capacity: int = 8192) -> None:
-        self.sampler = sampler or HeadSampling()
-        self.always_on_error = always_on_error
-        self.capacity = capacity
+    def __init__(self) -> None:
         #: (req str, "client"|"server") -> TraceContext, bounded FIFO
         self._by_req: dict[tuple, TraceContext] = {}
         #: link to the world's RequestObserver (set by repro.tools.attach)
@@ -158,7 +128,6 @@ class TracingInterceptor(RequestInterceptor):
         self.counters = {
             "traces_started": 0,     # roots created on this world
             "traces_joined": 0,      # wire contexts adopted by servers
-            "traces_unsampled": 0,   # roots the sampler rejected
             "replies_echoed": 0,     # reply contexts seen by clients
             "local_scopes": 0,       # §4.1 bypasses framed
             "contexts_evicted": 0,   # FIFO evictions from the index
@@ -178,7 +147,7 @@ class TracingInterceptor(RequestInterceptor):
     def _remember(self, req: str, side: str, tctx: TraceContext) -> None:
         by = self._by_req
         key = (req, side)
-        if key not in by and len(by) >= self.capacity:
+        if key not in by and len(by) >= INDEX_CAPACITY:
             del by[next(iter(by))]
             self.counters["contexts_evicted"] += 1
         by[key] = tctx
@@ -192,16 +161,12 @@ class TracingInterceptor(RequestInterceptor):
         stack = locals_.get(_STACK_KEY)
         if stack:
             top = stack[-1]
-            trace_id, parent_id, sampled = (top.trace_id, top.span_id,
-                                            top.sampled)
+            trace_id, parent_id = top.trace_id, top.span_id
         else:
             # A new root: the request-id hash doubles as the trace id.
             trace_id, parent_id = h, ""
-            sampled = self.sampler.sample(trace_id)
             self.counters["traces_started"] += 1
-            if not sampled:
-                self.counters["traces_unsampled"] += 1
-        tctx = TraceContext(trace_id, "c:" + h, parent_id, sampled)
+        tctx = TraceContext(trace_id, "c:" + h, parent_id)
         if self.observer is not None:
             self._remember(req, "client", tctx)
         info._tctx = tctx
@@ -225,9 +190,6 @@ class TracingInterceptor(RequestInterceptor):
         reply = info.reply
         if reply is not None and TRACE_CONTEXT in reply.service_contexts:
             self.counters["replies_echoed"] += 1
-        # Client-side sampling buffers resolve in the observer's own
-        # request_finished hook (it fires after the last client span);
-        # only the server side, which has no such hook, resolves here.
 
     def receive_reply(self, info: ClientRequestInfo) -> None:
         self._close_client(info)
@@ -242,7 +204,6 @@ class TracingInterceptor(RequestInterceptor):
         if wire is not None:
             trace_id = wire["trace_id"]
             parent_id = wire["span_id"]
-            sampled = wire.get("sampled", True)
             self.counters["traces_joined"] += 1
             # A parent from our own client side is "c:" + hash(req id);
             # reuse that hash rather than recomputing it.
@@ -252,11 +213,8 @@ class TracingInterceptor(RequestInterceptor):
             # Untraced client: root the trace at the server.
             h = _derive(str(info.req_id))
             trace_id, parent_id = h, ""
-            sampled = self.sampler.sample(trace_id)
             self.counters["traces_started"] += 1
-            if not sampled:
-                self.counters["traces_unsampled"] += 1
-        tctx = TraceContext(trace_id, "s:" + h, parent_id, sampled)
+        tctx = TraceContext(trace_id, "s:" + h, parent_id)
         if self.observer is not None:
             self._remember(str(info.req_id), "server", tctx)
         info._tctx = tctx
@@ -278,7 +236,3 @@ class TracingInterceptor(RequestInterceptor):
         stack = SimKernel.current().locals.get(_STACK_KEY)
         if stack and stack[-1] is tctx:
             stack.pop()
-        if self.observer is not None and self.always_on_error:
-            self.observer._resolve_trace(str(info.req_id), "server",
-                                         info.ctx.rank,
-                                         info.exception is not None)

@@ -25,15 +25,18 @@ def mod():
 
 
 class TestActivationEdges:
-    def test_activation_timeout_is_a_clear_error(self, mod):
+    def test_activation_timeout_is_a_clear_error(self, mod, monkeypatch):
         """A server that launches but never registers its object fails
         the bind with an ActivationError naming the timeout — not a
         silent hang."""
+        import repro.core.orb
+
+        monkeypatch.setattr(repro.core.orb, "ACTIVATION_TIMEOUT", 0.02)
 
         def lazy_server(ctx):
             ctx.compute(1.0)                  # never activates anything
 
-        sim = Simulation(config=OrbConfig(activation_timeout=0.02))
+        sim = Simulation()
         sim.register_implementation("edge", lazy_server,
                                     host="HOST_2", nprocs=1)
         out = {}

@@ -5,7 +5,7 @@ import pytest
 
 from repro.core import OrbConfig, Simulation
 from repro.idl import compile_idl
-from repro.simkernel import DeadlockError, SimThreadFailed
+from repro.simkernel import SimThreadFailed
 
 IDL = """
     typedef dsequence<double, 64> vec;
@@ -39,25 +39,8 @@ def server_main_factory(mod, ctx_holder=None):
     return server_main
 
 
-def test_partial_collective_invocation_deadlocks_with_diagnostics(mod):
-    """With collective checks disabled, a thread that skips a collective
-    invocation produces a deadlock whose report names the stuck threads."""
-    sim = Simulation(config=OrbConfig(collective_checks=False))
-    sim.server(server_main_factory(mod), host="HOST_2", nprocs=2)
-
-    def client(ctx):
-        srv = mod.svc._spmd_bind("svc")
-        v = ctx.dseq(np.ones(8))
-        if ctx.rank == 0:
-            srv.total(v)  # rank 1 never joins in
-
-    sim.client(client, host="HOST_1", nprocs=2)
-    with pytest.raises(DeadlockError):
-        sim.run()
-
-
 def test_collective_checks_catch_it_instead(mod):
-    """With checks on (the default), the same bug raises a clean
+    """SPMD client threads that disagree on an invocation raise a clean
     CollectiveMismatch on every thread instead of deadlocking."""
     from repro.core import CollectiveMismatch
 

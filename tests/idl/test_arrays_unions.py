@@ -209,6 +209,47 @@ class TestIdlUnions:
         assert out["vals"] == [("INT_KIND", 10), ("TEXT_KIND", "ten"),
                                ("REAL_KIND", 10.0)]
 
+    @pytest.mark.parametrize("local", [False, True])
+    def test_single_union_out_param_nonblocking(self, local):
+        """A lone out parameter whose value is a tuple (a union) reaches
+        its placeholder whole, on the remote path and on the local
+        bypass alike: one result slot is never unpacked."""
+        from repro.core import Future, Simulation
+
+        mod = compile_idl("""
+            union blob switch (long) { case 1: double d; case 2: string s; };
+            interface u { void get(out blob w); };
+        """, module_name="union_out_stubs")
+        sim = Simulation()
+
+        def servant():
+            class Impl(mod.u_skel):
+                def get(self):
+                    return (2, "hello")
+
+            return Impl()
+
+        def server_main(ctx):
+            ctx.poa.activate(servant(), "u", kind="spmd")
+            ctx.poa.impl_is_ready()
+
+        out = {}
+
+        def client(ctx):
+            if local:
+                ctx.poa.activate(servant(), "u", kind="spmd")
+            prx = mod.u._bind("u")
+            assert prx._binding.local == local
+            w = Future()
+            prx.get_nb(w).value()
+            out["w"] = w.value()
+
+        if not local:
+            sim.server(server_main, host="HOST_2", nprocs=1)
+        sim.client(client, host="HOST_1")
+        sim.run()
+        assert out["w"] == (2, "hello")
+
     def test_duplicate_case_label_rejected(self):
         with pytest.raises(IdlSemanticError, match="duplicate case"):
             compile_spec("""

@@ -17,6 +17,7 @@ from repro.services import (
     PriorityInterceptor,
     ThrottleInterceptor,
 )
+from repro.services.admission import BACKOFF_HINT, HIGH_WATERMARK
 
 IDL = """
     interface slowsvc {
@@ -95,25 +96,28 @@ class TestAdmissionControllerUnit:
         assert [adm.pop(0.0) for _ in range(3)] == [soon, late, undated]
 
     def test_stamp_reply_load_report_and_backpressure(self):
-        adm = AdmissionController(capacity=4, high_watermark=0.5,
-                                  backoff_hint=7e-3)
+        adm = AdmissionController(capacity=4)
         contexts = {}
         adm.stamp_reply(contexts)
         assert contexts[LOAD_CONTEXT]["queue_depth"] == 0
         assert contexts[LOAD_CONTEXT]["capacity"] == 4
         assert BACKPRESSURE_CONTEXT not in contexts
-        for i in range(2):                    # reach the watermark
+        for i in range(2):                    # just below 0.75 * 4
             adm.offer(_hdr(i), 0.0)
         contexts = {}
         adm.stamp_reply(contexts)
-        assert contexts[LOAD_CONTEXT]["queue_depth"] == 2
-        assert contexts[BACKPRESSURE_CONTEXT] == 7e-3
+        assert BACKPRESSURE_CONTEXT not in contexts
+        adm.offer(_hdr(2), 0.0)               # reach the watermark
+        contexts = {}
+        adm.stamp_reply(contexts)
+        assert contexts[LOAD_CONTEXT]["queue_depth"] == 3
+        assert contexts[BACKPRESSURE_CONTEXT] == BACKOFF_HINT == 5e-3
+        assert HIGH_WATERMARK == 0.75
 
-    def test_sweep_budget_default_and_override(self):
+    def test_sweep_budget_follows_capacity(self):
+        assert AdmissionController(capacity=1).sweep_budget == 8
         assert AdmissionController(capacity=4).sweep_budget == 8
         assert AdmissionController(capacity=32).sweep_budget == 64
-        assert AdmissionController(capacity=4,
-                                   sweep_budget=3).sweep_budget == 3
 
 
 class TestPriorityInterceptor:

@@ -3,9 +3,9 @@
 
 The observer is reached only through ``orb.observer`` (never the
 interceptor chain), its packet trace subscribes to
-``transport.observers``, and the tracer, registry and meter are linked to
-it by ``attach`` itself, so every flag combination gives the same
-results for what it shares.
+``transport.observers``, and the tracer and registry are linked to it by
+``attach`` itself, so every flag combination gives the same results for
+what it shares.
 """
 
 from itertools import product
@@ -50,17 +50,10 @@ def _echo_world(requests=5):
     return sim
 
 
-def _utilization(report: str) -> list[str]:
-    lines = report.splitlines()
-    start = next(i for i, line in enumerate(lines)
-                 if "compute utilization" in line)
-    return lines[start:]
-
-
 def test_every_flag_combination_links_its_instruments():
-    utilization, shared_families = None, set()
-    for tracing, metrics, meter in product((False, True), repeat=3):
-        flags = dict(tracing=tracing, metrics=metrics, meter=meter)
+    shared_families = set()
+    for tracing, metrics in product((False, True), repeat=2):
+        flags = dict(tracing=tracing, metrics=metrics)
         sim = _echo_world()
         handle = attach(sim.world, **flags)
         sim.run()
@@ -68,26 +61,13 @@ def test_every_flag_combination_links_its_instruments():
         assert len(obs.spans) > 0, flags
         assert (handle.tracer is not None) == tracing, flags
         assert (handle.registry is not None) == metrics, flags
-        assert (handle.meter is not None) == meter, flags
         assert all(bool(s.trace_id) == tracing for s in obs.spans), flags
         if metrics:
             families = set(handle.registry.snapshot())
-            optional = {"pardis_trace_events_total": tracing,
-                        "pardis_compute_busy_seconds": meter}
+            traced = "pardis_trace_events_total"
             assert "pardis_phase_seconds" in families, flags
-            assert {name for name, on in optional.items()
-                    if on} <= families, flags
-            assert not {name for name, on in optional.items()
-                        if not on} & families, flags
-            shared_families.add(frozenset(families - set(optional)))
-        if meter:
-            lines = _utilization(obs.report())
-            if utilization is None:
-                utilization = lines
-            assert lines == utilization, flags
-        else:
-            assert "compute utilization" not in obs.report(), flags
-    assert utilization is not None
+            assert (traced in families) == tracing, flags
+            shared_families.add(frozenset(families - {traced}))
     assert len(shared_families) == 1
 
 
@@ -103,7 +83,7 @@ def test_observer_packet_trace_records_every_packet():
 
 def test_detach_undoes_every_link():
     sim = _echo_world(requests=10)
-    handle = attach(sim.world, tracing=True, metrics=True, meter=True)
+    handle = attach(sim.world, tracing=True, metrics=True)
     obs, tracer = handle.observer, handle.tracer
     sim.run(until=0.01)  # about half of the requests
     indexed, started = len(tracer._by_req), len(obs.requests)
@@ -115,7 +95,6 @@ def test_detach_undoes_every_link():
     assert tracer not in orb.interceptors and len(orb.interceptors) == 0
     assert tracer.observer is None and obs.tracer is None
     assert "observer" not in sim.world.services
-    assert "compute_meter" not in sim.world.services
     # The rest of the run reaches none of the instruments for new
     # requests; a request in flight at detach finishes its spans in the
     # observer it started with, so none of its records stays pending.

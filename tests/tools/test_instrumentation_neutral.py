@@ -29,7 +29,7 @@ def _packet_trace(world):
 
 
 def _everything(world):
-    attach(world, tracing=True, metrics=True, meter=True)
+    attach(world, tracing=True, metrics=True)
     _packet_trace(world)
     _idle_throttle(world)
 

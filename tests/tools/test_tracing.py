@@ -1,5 +1,5 @@
 """Distributed tracing: wire propagation, SPMD fan-out, nested-call
-stitching, local bypass, sampling, and coexistence with the other
+stitching, local bypass, failures, and coexistence with the other
 shipped interceptors."""
 
 import pytest
@@ -13,7 +13,6 @@ from repro.core import (
 from repro.idl import compile_idl
 from repro.tools import (
     TRACE_CONTEXT,
-    HeadSampling,
     TraceContext,
     TracingInterceptor,
     attach,
@@ -52,6 +51,7 @@ def build_chain(mod, *, client_np=1, front_np=1):
                 return downstream.deep(x) + 1
 
             def boom(self, x):
+                downstream.deep(x)  # the nested hop succeeds first
                 raise RuntimeError("kaboom")
 
         ctx.poa.activate(Front(), "front", kind="spmd")
@@ -99,9 +99,8 @@ def test_wire_context_round_trip(mod):
     ops = {op for op, wire in probe.server_saw}
     assert ops == {"work", "deep"}
     for op, wire in probe.server_saw:
-        assert set(wire) == {"trace_id", "span_id", "sampled"}
+        assert set(wire) == {"trace_id", "span_id"}
         assert wire["span_id"].startswith("c:")
-        assert wire["sampled"] is True
     # ... sharing one trace id (deep is nested inside work).
     assert len({wire["trace_id"] for _, wire in probe.server_saw}) == 1
     # Replies echoed the server's context back.
@@ -244,44 +243,28 @@ def test_servant_failure_keeps_trace_context(mod):
     assert {n["side"] for n in nodes.values()} == {"client", "server"}
 
 
-def test_unsampled_trace_promoted_on_error(mod):
-    """Head-based sampling at rate 0 records nothing for successes but
-    promotes the buffered spans of a failing request."""
+def test_failing_request_records_every_span(mod):
+    """Every trace is recorded, failures included: a request whose
+    servant raises after a nested hop keeps its client and server spans
+    and both spans of the nested hop, stitched into one tree."""
     sim = build_chain(mod)
-    obs = attach(sim.world, tracing=True,
-                 sampler=HeadSampling(0.0)).observer
+    obs = attach(sim.world, tracing=True).observer
 
     def client(ctx):
         srv = mod.front._bind("front")
-        assert srv.work(1) == 11
         with pytest.raises(SystemException):
             srv.boom(1)
 
     sim.client(client, host="HOST_1")
     sim.run()
-    # The successful chain (work + nested deep) was dropped whole...
-    ops = {n["op"] for n in obs._trace_nodes().values()}
-    assert "work" not in ops and "deep" not in ops
-    # ... and the failing request's spans were promoted.
-    assert ops == {"boom"}
-    assert obs.spans_promoted > 0
-    assert obs.spans_unsampled > 0
-
-
-def test_unsampled_traces_discarded_without_promotion(mod):
-    sim = build_chain(mod)
-    obs = attach(sim.world, tracing=True, sampler=HeadSampling(0.0),
-                 always_on_error=False).observer
-
-    def client(ctx):
-        srv = mod.front._bind("front")
-        assert srv.work(1) == 11
-
-    sim.client(client, host="HOST_1")
-    sim.run()
-    assert not obs._trace_nodes()
-    assert obs.spans_promoted == 0
-    assert obs.spans_unsampled > 0
+    nodes = obs._trace_nodes()
+    assert sorted((n["side"], n["op"]) for n in nodes.values()) == [
+        ("client", "boom"), ("client", "deep"),
+        ("server", "boom"), ("server", "deep")]
+    assert len({n["trace_id"] for n in nodes.values()}) == 1
+    deep_client = next(n for n in nodes.values()
+                       if n["side"] == "client" and n["op"] == "deep")
+    assert nodes[deep_client["parent_id"]]["op"] == "boom"
 
 
 @pytest.mark.parametrize("tracer_first", [True, False])
@@ -339,24 +322,12 @@ def test_coexists_with_fault_injection(mod, tracer_first):
     assert tracer.counters["traces_joined"] == 2
 
 
-def test_head_sampling_is_deterministic():
-    assert HeadSampling(1.0).sample("deadbeef") is True
-    assert HeadSampling(0.0).sample("deadbeef") is False
-    s = HeadSampling(0.5)
-    from repro.tools.tracing import _derive
-
-    ids = [_derive(str(i)) for i in range(200)]  # hash-distributed ids
-    first = [s.sample(t) for t in ids]
-    assert first == [s.sample(t) for t in ids]  # pure function
-    assert 40 < sum(first) < 160  # roughly the configured rate
-
-
 def test_trace_context_wire_shape():
-    t = TraceContext("aa" * 8, "c:" + "bb" * 8, "", True)
+    t = TraceContext("aa" * 8, "c:" + "bb" * 8, "")
     assert t.to_wire() == {"trace_id": "aa" * 8,
-                           "span_id": "c:" + "bb" * 8, "sampled": True}
-    assert t == TraceContext("aa" * 8, "c:" + "bb" * 8, "", True)
-    assert t != TraceContext("aa" * 8, "c:" + "bb" * 8, "", False)
+                           "span_id": "c:" + "bb" * 8}
+    assert t == TraceContext("aa" * 8, "c:" + "bb" * 8, "")
+    assert t != TraceContext("aa" * 8, "c:" + "bb" * 8, "s:" + "cc" * 8)
     assert "c:" in repr(t)
 
 
