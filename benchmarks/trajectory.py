@@ -4,8 +4,10 @@
 The counters are what a run *does*, and they are deterministic: for each
 of ``fig2``, ``fig4``, ``fig5``, ``saturation`` and ``validate`` the
 number of ``SimKernel.run`` calls, the kernel events and context
-switches they processed, the packets sent and the remote client
-requests started.  Like ``perfbench/layers.py`` they are counted by
+switches they processed, the packets and bytes the transport sent
+(``Transport.bytes_sent``), the remote client requests started and the
+messages sent through the run-time systems (``RuntimeSystem.send`` and
+``send_reserved``).  Like ``perfbench/layers.py`` they are counted by
 wrapping methods from outside ``src/``, in this process.  The CLI stdout
 of each run is hashed alongside, so two trees can be shown to print the
 same results.
@@ -67,7 +69,8 @@ RUNS = {
 }
 
 
-COUNTERS = ("kernel_runs", "events", "switches", "packets", "client_requests")
+COUNTERS = ("kernel_runs", "events", "switches", "packets", "bytes",
+            "client_requests", "rts_messages")
 
 
 # -- counters ------------------------------------------------------------------
@@ -78,12 +81,15 @@ class Counters:
     def __init__(self) -> None:
         from repro.core.pipeline.state import ClientRequestState
         from repro.netsim.transport import Transport
+        from repro.runtime.interface import RuntimeSystem
         from repro.simkernel.kernel import SimKernel
 
         self.n = dict.fromkeys(COUNTERS, 0)
-        self._seen: dict[int, tuple] = {}   # kernel id -> (kernel, events, switches)
+        # kernel id -> (kernel, events, switches, bytes) after its last run
+        self._seen: dict[int, tuple] = {}
+        self._transports: dict[int, Transport] = {}   # by its kernel's id
         self._patches = []
-        n, seen = self.n, self._seen
+        n, seen, transports = self.n, self._seen, self._transports
 
         def run(orig):
             def wrapped(kernel, *args, **kwargs):
@@ -93,11 +99,20 @@ class Counters:
                 finally:
                     # A kernel may run more than once (run(until=...)):
                     # count only what this run added.
-                    _, ev, sw = seen.get(id(kernel), (kernel, 0, 0))
+                    _, ev, sw, nb = seen.get(id(kernel), (kernel, 0, 0, 0))
+                    transport = transports.get(id(kernel))
+                    sent = transport.bytes_sent if transport else 0
                     n["events"] += kernel.events_processed - ev
                     n["switches"] += kernel.context_switches - sw
+                    n["bytes"] += sent - nb
                     seen[id(kernel)] = (kernel, kernel.events_processed,
-                                        kernel.context_switches)
+                                        kernel.context_switches, sent)
+            return wrapped
+
+        def transport_init(orig):
+            def wrapped(transport, kernel, *args, **kwargs):
+                orig(transport, kernel, *args, **kwargs)
+                transports[id(kernel)] = transport
             return wrapped
 
         def calls(orig, key):
@@ -107,7 +122,11 @@ class Counters:
             return wrapped
 
         self._patch(SimKernel, "run", run)
+        self._patch(Transport, "__init__", transport_init)
         self._patch(Transport, "send", lambda f: calls(f, "packets"))
+        for name in ("send", "send_reserved"):
+            self._patch(RuntimeSystem, name,
+                        lambda f: calls(f, "rts_messages"))
         self._patch(ClientRequestState, "start",
                     lambda f: calls(f, "client_requests"))
 
@@ -120,6 +139,7 @@ class Counters:
         for cls, name, orig in reversed(self._patches):
             setattr(cls, name, orig)
         self._seen.clear()
+        self._transports.clear()
         return dict(self.n)
 
 

@@ -53,8 +53,7 @@ class TransferItem(FrozenRecord):
 
     def __init__(self, src_rank: int, dst_rank: int,
                  intervals: tuple[Interval, ...], src_runs: tuple[Run, ...],
-                 dst_runs: tuple[Run, ...], size: int,
-                 _index: dict | None = None) -> None:
+                 dst_runs: tuple[Run, ...], size: int) -> None:
         _set(self, "src_rank", src_rank)
         _set(self, "dst_rank", dst_rank)
         _set(self, "intervals", intervals)  # global index ranges, sorted
@@ -62,7 +61,7 @@ class TransferItem(FrozenRecord):
         _set(self, "dst_runs", dst_runs)    # ... and in the destination's
         _set(self, "size", size)
         #: local index arrays of multi-run sides, built on first use
-        _set(self, "_index", {} if _index is None else _index)
+        _set(self, "_index", {})
 
 
 def _intersect(a: tuple[Interval, ...], b: tuple[Interval, ...]) -> tuple[Interval, ...]:

@@ -82,17 +82,14 @@ class Network:
                  "_node_busy", "_routes")
 
     def __init__(self, name: str = "network", jitter: float = 0.0,
-                 seed: int = 0, _hosts: Optional[dict[str, Host]] = None,
-                 _links: Optional[dict[frozenset, _LinkState]] = None,
-                 _rng: object = None,
-                 _node_busy: Optional[dict] = None) -> None:
+                 seed: int = 0) -> None:
         self.name = name
         self.jitter = jitter
         self.seed = seed
-        self._hosts = {} if _hosts is None else _hosts
-        self._links = {} if _links is None else _links
-        self._rng = _rng
-        self._node_busy = {} if _node_busy is None else _node_busy
+        self._hosts: dict[str, Host] = {}
+        self._links: dict[frozenset, _LinkState] = {}
+        self._rng = None
+        self._node_busy: dict[tuple[str, int], float] = {}
         #: (a, b) host pair -> (profile, shared link state or None), filled
         #: on first use and cleared by connect()
         self._routes: dict[tuple[str, str],
@@ -170,14 +167,17 @@ class Network:
         which is how the reproduction exhibits the Fig-5 congestion.
         """
         profile, state = route
-        ser = self._perturb(profile.serialization_time(nbytes))
+        ser = profile.serialization_time(nbytes)
+        latency = profile.latency
+        if self._rng is not None:
+            ser, latency = self._perturb(ser), self._perturb(latency)
         if state is not None:
             start = max(now, state.busy_until)
             state.busy_until = start + ser
         else:
             start = now
         injection_done = start + ser
-        return injection_done, injection_done + self._perturb(profile.latency)
+        return injection_done, injection_done + latency
 
     def reserve_node(self, host: str, node: int, seconds: float,
                      now: float) -> float:

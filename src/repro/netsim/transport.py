@@ -96,7 +96,18 @@ class Packet:
 
 def estimate_nbytes(obj: Any) -> int:
     """Rough wire size of a payload, used when the caller does not pass an
-    explicit byte count (headers, control messages)."""
+    explicit byte count (headers, control messages).  Exact common types
+    first; the ``isinstance`` chain decides for all others (``bool``: 8)."""
+    cls = type(obj)
+    if cls is tuple or cls is list:
+        n = 16
+        for x in obj:
+            n += estimate_nbytes(x)
+        return n
+    if cls is int or cls is float:
+        return 8
+    if cls is str:
+        return 16 + len(obj)
     if obj is None:
         return 16
     if isinstance(obj, (bytes, bytearray, memoryview)):
@@ -125,6 +136,7 @@ class Endpoint:
         self.transport = transport
         self.address = address
         self.channel = Channel(transport.kernel, name=f"ep:{address}")
+        self._recv_reason = f"recv@{address}"
 
     # -- receiving -----------------------------------------------------------
 
@@ -142,7 +154,8 @@ class Endpoint:
 
     def recv(self, src=ANY, tag=ANY) -> Packet:
         """Blocking tag/source-matched receive."""
-        env = self.channel.receive(self._match(src, tag), reason=f"recv@{self.address}")
+        env = self.channel.receive(self._match(src, tag),
+                                   reason=self._recv_reason)
         return env.payload
 
     def poll(self, src=ANY, tag=ANY) -> Optional[Packet]:
@@ -219,8 +232,7 @@ class Transport:
         if cpu_overhead:
             self.kernel.advance(cpu_overhead)
         injection_done, arrival = self.network.reserve_route(route, n, th.now)
-        pkt = Packet(src=src, dst=dst, tag=tag, body=body, nbytes=n,
-                     send_time=th.now, arrival=arrival)
+        pkt = Packet(src, dst, tag, body, n, th.now, arrival)
         dst_ep.channel.push(pkt, arrival)
         self.packets_sent += 1
         self.bytes_sent += n

@@ -28,7 +28,9 @@ def _next_tag(rts: RuntimeSystem) -> int:
 
 def bcast(rts: RuntimeSystem, value: Any = None, root: int = 0,
           nbytes: Optional[int] = None) -> Any:
-    """Binomial-tree broadcast; returns the root's value on every rank."""
+    """Binomial-tree broadcast; returns the root's value on every rank.
+    ``nbytes`` sizes the root's sends; the other ranks forward the size
+    they received."""
     tag = _next_tag(rts)
     size, rank = rts.nprocs, rts.rank
     vrank = (rank - root) % size
@@ -37,7 +39,8 @@ def bcast(rts: RuntimeSystem, value: Any = None, root: int = 0,
     while mask < size:
         if vrank & mask:
             parent = ((vrank - mask) + root) % size
-            value = rts.recv(src=parent, tag=tag).payload
+            msg = rts.recv(src=parent, tag=tag)
+            value, nbytes = msg.payload, msg.nbytes
             break
         mask <<= 1
     else:
@@ -81,9 +84,10 @@ def scatter(rts: RuntimeSystem, values: Optional[list], root: int = 0) -> Any:
 
 
 def allgather(rts: RuntimeSystem, value: Any) -> list:
-    """Gather to rank 0 then broadcast the assembled list."""
+    """Gather to rank 0 then broadcast the assembled list, sized once."""
     gathered = gather(rts, value, root=0)
-    return bcast(rts, gathered, root=0)
+    nbytes = None if gathered is None else estimate_nbytes(gathered)
+    return bcast(rts, gathered, root=0, nbytes=nbytes)
 
 
 def reduce(rts: RuntimeSystem, value: Any, op: Callable[[Any, Any], Any],

@@ -21,9 +21,8 @@ class MPIRuntime(RuntimeSystem):
         self._program = program
         self._rank = rank
         self._kernel = program.world.kernel
-        self._endpoint = program.world.transport.endpoint(
-            program.address(rank, PORT_RTS)
-        )
+        self._peers = program.rts_addresses
+        self._endpoint = program.world.transport.endpoint(self._peers[rank])
 
     # -- identity --------------------------------------------------------------
 
@@ -41,17 +40,20 @@ class MPIRuntime(RuntimeSystem):
 
     # -- point-to-point ----------------------------------------------------------
 
+    def _peer(self, rank: int):
+        """``rank``'s RTS address; out of range raises ``ValueError``."""
+        if 0 <= rank < len(self._peers):
+            return self._peers[rank]
+        return self._program.address(rank, PORT_RTS)
+
     def _send(self, dest: int, payload: Any, tag: int,
               nbytes: Optional[int]) -> None:
-        self._endpoint.send(
-            self._program.address(dest, PORT_RTS), payload,
-            tag=tag, nbytes=nbytes,
-        )
+        self._endpoint.send(self._peer(dest), payload, tag=tag, nbytes=nbytes)
 
     def _resolve_src(self, src):
         if src is ANY:
             return ANY
-        return self._program.address(src, PORT_RTS)
+        return self._peer(src)
 
     def recv(self, src=ANY, tag=ANY) -> RtsMessage:
         pkt = self._endpoint.recv(src=self._resolve_src(src), tag=tag)

@@ -90,6 +90,9 @@ class ParallelProgram:
         self.rts: list[Any] = [None] * nprocs
         #: Backing store for one-sided (Tulip-style) runtimes.
         self.onesided_store: dict[tuple[int, Any], Any] = {}
+        #: each rank's PORT_RTS address, built once for the RTS backends
+        self.rts_addresses = tuple(self.address(rank, PORT_RTS)
+                                   for rank in range(nprocs))
         # Open every endpoint up front so sends never race with opens.
         for rank in range(nprocs):
             for purpose in (PORT_RTS, PORT_ORB):

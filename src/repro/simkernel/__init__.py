@@ -3,7 +3,8 @@
 This package is the execution substrate for the whole PARDIS
 reproduction: simulated "computing threads" (real OS threads scheduled one
 at a time) and timestamped message channels, each with one receiver.
-See DESIGN.md §6 for the rationale.
+See DESIGN.md §6 for the rationale, and :mod:`.kernel` for the run
+queue and what one switch costs.
 """
 
 from .channel import Channel, Envelope
@@ -14,15 +15,12 @@ from .errors import (
     SimKilled,
     SimThreadFailed,
 )
-from .events import Event, EventQueue
 from .kernel import SimKernel, SimThread, ThreadState
 
 __all__ = [
     "Channel",
     "DeadlockError",
     "Envelope",
-    "Event",
-    "EventQueue",
     "NotInSimThread",
     "SimError",
     "SimKernel",

@@ -21,11 +21,10 @@ MatchFn = Callable[["Envelope"], bool]
 class Envelope:
     """A message queued in a channel."""
 
-    __slots__ = ("arrival", "seq", "payload")
+    __slots__ = ("arrival", "payload")
 
-    def __init__(self, arrival: float, seq: int, payload: Any) -> None:
+    def __init__(self, arrival: float, payload: Any) -> None:
         self.arrival = arrival
-        self.seq = seq
         self.payload = payload
 
 
@@ -43,7 +42,8 @@ class Channel:
         self.name = name
         self._queue: list[Envelope] = []
         self._waiter: Optional[tuple[SimThread, Optional[MatchFn]]] = None
-        self._seq = 0
+        # The last blocking reason and its text, formatted once per reason.
+        self._reason = self._reason_text = ""
 
     def __len__(self) -> int:
         return len(self._queue)
@@ -52,14 +52,14 @@ class Channel:
 
     def push(self, payload: Any, arrival: float) -> Envelope:
         """Deposit a message that becomes visible at virtual ``arrival``."""
-        env = Envelope(arrival, self._seq, payload)
-        self._seq += 1
-        # Keep the queue sorted by (arrival, seq) so receive order is the
-        # message delivery order, not the send-call order.
-        idx = len(self._queue)
-        while idx > 0 and (self._queue[idx - 1].arrival, self._queue[idx - 1].seq) > (arrival, env.seq):
+        env = Envelope(arrival, payload)
+        # Keep the queue sorted by arrival, ties in push order, so receive
+        # order is the message delivery order, not the send-call order.
+        queue = self._queue
+        idx = len(queue)
+        while idx > 0 and queue[idx - 1].arrival > arrival:
             idx -= 1
-        self._queue.insert(idx, env)
+        queue.insert(idx, env)
         if self._waiter is not None:
             self._notify(env)
         return env
@@ -129,8 +129,11 @@ class Channel:
                                  if deadline is not None else env.arrival)
             elif deadline is not None:
                 self.kernel.wake(th, deadline)
+            if reason != self._reason:
+                self._reason = reason
+                self._reason_text = f"{reason} on {self.name}"
             self._waiter = (th, match)
             try:
-                self.kernel.block(f"{reason} on {self.name}")
+                self.kernel.block(self._reason_text)
             finally:
                 self._waiter = None

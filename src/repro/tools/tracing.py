@@ -51,6 +51,7 @@ from ..core.pipeline.interceptors import (
     RequestInterceptor,
     ServerRequestInfo,
 )
+from .._record import FrozenRecord
 from ..core.request import TRACE_CONTEXT
 from ..simkernel import SimKernel
 
@@ -65,13 +66,15 @@ _STACK_KEY = "pardis.trace_stack"
 #: Entries the request -> context index keeps before evicting the oldest
 INDEX_CAPACITY = 8192
 
+_set = object.__setattr__
+
 
 def _derive(text: str) -> str:
     """Deterministic 64-bit hex id of ``text``."""
     return blake2b(text.encode(), digest_size=8).hexdigest()
 
 
-class TraceContext:
+class TraceContext(FrozenRecord):
     """One request's position in a distributed trace.
 
     ``trace_id`` names the whole journey (pure hex, derived from the
@@ -79,31 +82,20 @@ class TraceContext:
     ``c:``/``s:`` prefix plus the request-id hash, so both sides of both
     this and every nested request get distinct ids from *one* hash
     apiece; ``parent_id`` the span that caused it (empty for a root).
-
-    (A ``__slots__`` class rather than a dataclass: two of these are
-    created per traced request, on the budget-gated hot path.)
+    The interception points carry only the wire dict; a context is built
+    for the request index, while an observer is linked.
     """
 
     __slots__ = ("trace_id", "span_id", "parent_id")
 
     def __init__(self, trace_id: str, span_id: str,
                  parent_id: str = "") -> None:
-        self.trace_id = trace_id
-        self.span_id = span_id
-        self.parent_id = parent_id
+        _set(self, "trace_id", trace_id)
+        _set(self, "span_id", span_id)
+        _set(self, "parent_id", parent_id)
 
     def to_wire(self) -> dict:
         return {"trace_id": self.trace_id, "span_id": self.span_id}
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, TraceContext)
-                and self.trace_id == other.trace_id
-                and self.span_id == other.span_id
-                and self.parent_id == other.parent_id)
-
-    def __repr__(self) -> str:
-        return (f"TraceContext(trace_id={self.trace_id!r}, "
-                f"span_id={self.span_id!r}, parent_id={self.parent_id!r})")
 
 
 class TracingInterceptor(RequestInterceptor):
@@ -153,6 +145,8 @@ class TracingInterceptor(RequestInterceptor):
         by[key] = tctx
 
     # -- client points -----------------------------------------------------
+    # The scope stacks hold wire dicts: their two ids are all a nested
+    # request needs.
 
     def send_request(self, info: ClientRequestInfo) -> None:
         req = str(info.req_id)
@@ -161,41 +155,38 @@ class TracingInterceptor(RequestInterceptor):
         stack = locals_.get(_STACK_KEY)
         if stack:
             top = stack[-1]
-            trace_id, parent_id = top.trace_id, top.span_id
+            trace_id, parent_id = top["trace_id"], top["span_id"]
         else:
             # A new root: the request-id hash doubles as the trace id.
             trace_id, parent_id = h, ""
             self.counters["traces_started"] += 1
-        tctx = TraceContext(trace_id, "c:" + h, parent_id)
+        span_id = "c:" + h
+        wire = info._trace = info.service_contexts[TRACE_CONTEXT] = {
+            "trace_id": trace_id, "span_id": span_id}
         if self.observer is not None:
-            self._remember(req, "client", tctx)
-        info._tctx = tctx
-        info.service_contexts[TRACE_CONTEXT] = tctx.to_wire()
+            self._remember(req, "client",
+                           TraceContext(trace_id, span_id, parent_id))
         if info.local:
             # Frame the direct call: the servant body runs on this very
             # thread, so its own downstream invocations must parent here.
             if stack is None:
                 stack = locals_[_STACK_KEY] = []
-            stack.append(tctx)
+            stack.append(wire)
             self.counters["local_scopes"] += 1
 
-    def _close_client(self, info: ClientRequestInfo) -> None:
-        tctx = getattr(info, "_tctx", None)
-        if tctx is None:
+    def receive_reply(self, info: ClientRequestInfo) -> None:
+        wire = getattr(info, "_trace", None)
+        if wire is None:
             return  # an earlier interceptor aborted before we ran
         if info.local:
             stack = SimKernel.current().locals.get(_STACK_KEY)
-            if stack and stack[-1] is tctx:
+            if stack and stack[-1] is wire:
                 stack.pop()
         reply = info.reply
         if reply is not None and TRACE_CONTEXT in reply.service_contexts:
             self.counters["replies_echoed"] += 1
 
-    def receive_reply(self, info: ClientRequestInfo) -> None:
-        self._close_client(info)
-
-    def receive_exception(self, info: ClientRequestInfo) -> None:
-        self._close_client(info)
+    receive_exception = receive_reply
 
     # -- server points -----------------------------------------------------
 
@@ -214,25 +205,26 @@ class TracingInterceptor(RequestInterceptor):
             h = _derive(str(info.req_id))
             trace_id, parent_id = h, ""
             self.counters["traces_started"] += 1
-        tctx = TraceContext(trace_id, "s:" + h, parent_id)
+        span_id = "s:" + h
+        mine = info._trace = {"trace_id": trace_id, "span_id": span_id}
         if self.observer is not None:
-            self._remember(str(info.req_id), "server", tctx)
-        info._tctx = tctx
+            self._remember(str(info.req_id), "server",
+                           TraceContext(trace_id, span_id, parent_id))
         locals_ = SimKernel.current().locals
         stack = locals_.get(_STACK_KEY)
         if stack is None:
             stack = locals_[_STACK_KEY] = []
-        stack.append(tctx)
+        stack.append(mine)
 
     def send_reply(self, info: ServerRequestInfo) -> None:
-        tctx = getattr(info, "_tctx", None)
-        if tctx is not None:
-            info.reply_service_contexts[TRACE_CONTEXT] = tctx.to_wire()
+        mine = getattr(info, "_trace", None)
+        if mine is not None:
+            info.reply_service_contexts[TRACE_CONTEXT] = mine
 
     def finish_request(self, info: ServerRequestInfo) -> None:
-        tctx = getattr(info, "_tctx", None)
-        if tctx is None:
+        mine = getattr(info, "_trace", None)
+        if mine is None:
             return  # shed before our receive_request ran
         stack = SimKernel.current().locals.get(_STACK_KEY)
-        if stack and stack[-1] is tctx:
+        if stack and stack[-1] is mine:
             stack.pop()
