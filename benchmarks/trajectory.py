@@ -27,7 +27,9 @@ test ("smoke", about 2 s) and, unless ``--smoke`` is given, at the CLI
 defaults ("full"); the wall times are taken at the largest sizes
 counted, and ``--rounds 0`` skips them.  The counters are printed next
 to those of the newest committed file, so a change in the work done
-shows up at once.  Nothing is gated.
+shows up at once.  This script gates nothing; the tier-1 test
+``tests/experiments/test_work_counters.py`` fails when the smoke
+counters or stdout hashes differ from that file's.
 """
 
 from __future__ import annotations

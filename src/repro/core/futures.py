@@ -48,6 +48,10 @@ class Future:
             raise FutureError("future is already bound to an invocation")
         self._progress = progress
 
+    def _unbind(self) -> None:
+        """Undo :meth:`_bind` for an invocation that was never issued."""
+        self._progress = None
+
     def _settled(self) -> bool:
         return self._value is not _UNSET or self._exc is not None
 

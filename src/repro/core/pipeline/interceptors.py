@@ -17,7 +17,8 @@ point                     side   fires
                                  assembled, before futures resolve; raising
                                  turns the success into a failure
 ``receive_exception``     client when the request fails (error reply, peer
-                                 failure, timeout, or send-time abort); may
+                                 failure, timeout, send-time abort, or a
+                                 raising local-bypass servant); may
                                  replace the exception by raising
 ``receive_request``       server after operation resolution, before
                                  argument collection and the servant call;
@@ -52,7 +53,7 @@ from typing import Any, Optional
 
 from ..errors import BindingError
 from ..interfacedef import OpDef
-from ..request import ReplyHeader, RequestHeader
+from ..request import RequestHeader
 
 __all__ = [
     "ClientRequestInfo",
@@ -78,9 +79,7 @@ class ClientRequestInfo:
 
     def __init__(self, ctx: Any, op: OpDef, req_id: tuple, object_name: str,
                  rank: int, oneway: bool, deadline: Optional[float],
-                 local: bool = False, service_contexts: Optional[dict] = None,
-                 reply: Optional[ReplyHeader] = None, result: Any = None,
-                 exception: Optional[BaseException] = None) -> None:
+                 local: bool) -> None:
         self.ctx = ctx                  # PardisContext of the invoking thread
         self.op = op
         self.req_id = req_id
@@ -94,11 +93,10 @@ class ClientRequestInfo:
         self.local = local
         #: request service contexts; mutations in ``send_request`` travel
         #: on the RequestHeader
-        self.service_contexts = ({} if service_contexts is None
-                                 else service_contexts)
-        self.reply = reply
-        self.result = result
-        self.exception = exception
+        self.service_contexts = {}
+        self.reply = None
+        self.result = None
+        self.exception = None
 
     @property
     def op_name(self) -> str:
@@ -114,10 +112,7 @@ class ServerRequestInfo:
     (no ``__slots__``, as for :class:`ClientRequestInfo`)."""
 
     def __init__(self, ctx: Any, header: RequestHeader, op: OpDef,
-                 servant: Any, is_root: bool,
-                 reply_service_contexts: Optional[dict] = None,
-                 result: Any = None,
-                 exception: Optional[BaseException] = None) -> None:
+                 servant: Any, is_root: bool) -> None:
         self.ctx = ctx                  # PardisContext of the serving thread
         self.header = header
         self.op = op
@@ -125,10 +120,9 @@ class ServerRequestInfo:
         self.is_root = is_root          # this thread authors the reply
         #: reply service contexts; mutations up to ``send_reply`` travel
         #: on the ReplyHeader
-        self.reply_service_contexts = ({} if reply_service_contexts is None
-                                       else reply_service_contexts)
-        self.result = result
-        self.exception = exception
+        self.reply_service_contexts = {}
+        self.result = None
+        self.exception = None
 
     @property
     def op_name(self) -> str:

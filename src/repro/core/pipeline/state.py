@@ -1,10 +1,10 @@
 """Explicit request state machines for both halves of the ORB.
 
-:class:`ClientRequestState` owns one invocation from marshaling to future
-resolution (it replaces the interleaved bodies of the old ``invoke()``
-and its reply-progress loop); :class:`ServerRequestState` owns one
-dispatched request from header receipt to reply emission (replacing
-``POA._handle``/``_send_results``).  Both drive fragment movement through
+:class:`ClientRequestState` owns one invocation from flow control to
+future resolution, remote or bypassed to a co-located servant (§4.1);
+:class:`ServerRequestState` owns one dispatched request from header
+receipt to reply emission (replacing ``POA._handle``/``_send_results``).
+Both drive fragment movement through
 the :class:`~repro.core.pipeline.courier.FragmentCourier` and run the
 ORB's portable-interceptor chain at the five CORBA points.
 
@@ -37,6 +37,7 @@ from ..distribution import Distribution, resolve_dist_spec
 from ..dsequence import DistributedSequence
 from ..errors import (
     BindingError,
+    FutureError,
     SystemException,
     TransientException,
     UserException,
@@ -73,6 +74,9 @@ __all__ = ["ClientRequestState", "ServerRequestState", "split_results"]
 
 #: Virtual cost charged by one non-blocking ``Future.resolved()`` poll.
 POLL_COST = 1e-6
+#: Virtual cost of a bypassed (same-program) invocation (§4.1:
+#: "invocation on a local object becomes a direct call").
+LOCAL_CALL_OVERHEAD = 2e-6
 
 
 def split_results(op: OpDef, result) -> tuple:
@@ -118,14 +122,23 @@ def _server_in_dist(ref: ObjectRef, op: OpDef, param, n: int) -> Distribution:
 
 
 class ClientRequestState:
-    """One in-flight request on one client thread.
+    """One request on one client thread, remote or local.
 
-    States: ``new`` → (``start``) → ``awaiting_reply`` → ``collecting``
-    → ``done``; oneway requests and send-time aborts jump straight to
-    ``done``.  ``progress()`` is the pump the futures' blocking reads
-    drive; it returns ``True`` exactly when the request is complete —
-    including completion *by failure* (error reply, peer failure,
-    timeout).
+    A remote request goes ``new`` → (``start``) → ``awaiting_reply`` →
+    ``collecting`` → ``done``; a oneway request is ``done`` once sent.
+    On a local binding (§4.1: "invocation on a local object becomes a
+    direct call") ``start`` goes ``new`` → ``calling`` → ``done`` by
+    itself: it charges :data:`LOCAL_CALL_OVERHEAD` and calls the
+    co-located servant with the in-values as given, with no flow
+    control, marshaling, header or fragments, and the request never
+    enters ``ctx.pending`` or ``binding.outstanding``.
+
+    Both modes end in the same two edges: :meth:`_succeed` and
+    :meth:`_fail`.  Every client-side failure — a ``send_request`` veto,
+    a raising servant, a raising ``receive_reply``, an error reply, a
+    peer failure, a timeout — reaches :meth:`_fail`.  ``progress()`` is
+    the pump the futures' blocking reads drive; it returns ``True``
+    exactly when the request is complete, by success or by failure.
     """
 
     def __init__(self, binding, op: OpDef, in_values: tuple,
@@ -142,11 +155,16 @@ class ClientRequestState:
                 f"{op.name}: {len(self.placeholders)} future placeholders "
                 f"for {len(op.out_params)} out parameters"
             )
+        #: taken once: a failover rebind must not turn a request that is
+        #: already on the wire into a local one
+        self.local = binding.local
         self.chain = self.ctx.orb.interceptors
         self.observer = self.ctx.orb.observer
         self.courier = FragmentCourier(self.ctx)
         self.state = "new"
         self.req_id = None
+        self.t0 = 0.0
+        self.deadline: Optional[float] = None
         self.info: Optional[ClientRequestInfo] = None
         self.out_requests: dict[str, tuple] = {}
         self.reply: Optional[ReplyHeader] = None
@@ -158,15 +176,82 @@ class ClientRequestState:
         self._out_state: dict[str, list] = {}
         #: stashed supplementary peer-failure reply (see request.py)
         self._peer_failure: Optional[ReplyHeader] = None
-        timeout = self.ctx.orb.config.request_timeout
-        self.deadline = (self.ctx.now() + timeout
-                         if timeout is not None else None)
 
     # -- emission ----------------------------------------------------------
 
     def start(self, blocking: bool):
-        """Marshal and send the request.  Returns the result (blocking),
-        the result future (non-blocking) or ``None`` (oneway)."""
+        """Issue the request.  Returns the result (blocking), the result
+        future (non-blocking) or ``None`` (oneway); a blocking or oneway
+        call raises its failure."""
+        if self.local:
+            self._call()
+        else:
+            self._send()
+        if blocking or self.op.oneway:
+            self.progress(block=True)
+            if self.error is not None:
+                raise self.error
+            return self.result
+        return self.result_future
+
+    def _open(self) -> None:
+        """Arm the futures, draw the request id and report the start.
+
+        The placeholders are bound before the id is drawn, so a bound or
+        settled one fails the call with nothing sent, called or
+        observed, and the ones armed before it are disarmed."""
+        ctx = self.ctx
+        binding = self.binding
+        op = self.op
+        for i, fut in enumerate(self.placeholders):
+            try:
+                fut._bind(self._progress_hook)
+            except FutureError:
+                for armed in self.placeholders[:i]:
+                    armed._unbind()
+                raise
+        self.req_id = req_id = binding.next_req_id()
+        self.result_future = Future(label=f"{op.name}#{req_id[-1]}")
+        self.result_future._bind(self._progress_hook)
+        obs = self.observer
+        if obs is not None:
+            self.t0 = ctx.now()
+            obs.request_started(req_id, op.name, ctx.program.name,
+                                binding.client_index, self.t0)
+        self.info = ClientRequestInfo(
+            ctx=ctx, op=op, req_id=req_id, object_name=binding.ref.name,
+            rank=binding.client_index, oneway=op.oneway,
+            deadline=self.deadline, local=self.local,
+        )
+
+    def _call(self) -> None:
+        """The local bypass: a direct call on the co-located servant."""
+        ctx = self.ctx
+        op = self.op
+        ref = self.binding.ref
+        ctx.compute(LOCAL_CALL_OVERHEAD)
+        record = ctx.poa._lookup_record(ref.name)
+        servant = record.servants[ctx.rank if ref.kind == "spmd"
+                                  else ref.owner_rank]
+        ctx.orb.local_bypasses += 1
+        self._open()
+        self.state = "calling"
+        # The client interception points still frame the direct call
+        # (``info.local`` marks that nothing travels on the wire), so
+        # context-scoped interceptors see a balanced send/receive pair.
+        try:
+            if self.chain.active:
+                self.chain.send_request(self.info)
+            result = getattr(servant, op.name)(*self.in_values)
+        except Exception as exc:
+            self._fail(exc)
+            return
+        skip = 1 if op.ret_tc is not None else 0
+        self._succeed(result, split_results(op, result)[skip:], "local",
+                      self.t0, nbytes=0)
+
+    def _send(self) -> None:
+        """Marshal the request and put it on the wire."""
         ctx = self.ctx
         binding = self.binding
         op = self.op
@@ -174,12 +259,17 @@ class ClientRequestState:
         obs = self.observer
         cfg = ctx.orb.config
         my_idx = binding.client_index
-        self.req_id = req_id = binding.next_req_id()
 
-        t_marshal0 = ctx.now() if obs is not None else 0.0
-        if obs is not None:
-            obs.request_started(req_id, op.name, ctx.program.name, my_idx,
-                                t_marshal0)
+        # Flow control: cap unreplied requests per binding (the per-bind
+        # override wins over the ORB-wide default).
+        limit = (binding.max_outstanding if binding.max_outstanding is not None
+                 else cfg.max_outstanding)
+        while len(binding.outstanding) >= limit:
+            binding.outstanding[0].progress(block=True)
+        if cfg.request_timeout is not None:
+            self.deadline = ctx.now() + cfg.request_timeout
+        self._open()
+        req_id = self.req_id
 
         # Partition arguments.
         named_in = dict(zip((p.name for p in op.in_params), self.in_values))
@@ -208,15 +298,12 @@ class ClientRequestState:
                 out_requests[param.name] = enc
         self.out_requests = out_requests
 
-        self.info = ClientRequestInfo(
-            ctx=ctx, op=op, req_id=req_id, object_name=binding.ref.name,
-            rank=my_idx, oneway=op.oneway, deadline=self.deadline,
-        )
         if chain.active:
             try:
                 chain.send_request(self.info)
             except Exception as exc:
-                return self._abort(exc, blocking)
+                self._fail(exc)
+                return
 
         ref = binding.ref
         header = RequestHeader(
@@ -237,7 +324,7 @@ class ClientRequestState:
         t_send0 = ctx.now() if obs is not None else 0.0
         if obs is not None:
             obs.span("marshal", op.name, req_id, ctx.program.name, my_idx,
-                     t_marshal0, t_send0, nbytes=len(scalar_args))
+                     self.t0, t_send0, nbytes=len(scalar_args))
 
         sent_nbytes = 0
         offload = cfg.communication_threads
@@ -273,50 +360,11 @@ class ClientRequestState:
         if op.oneway:
             self.done = True
             self.state = "done"
-            return None
+            return
 
-        self._arm_futures()
         self.state = "awaiting_reply"
         ctx.pending[req_id] = self
-        self.binding.outstanding.append(self)
-        if blocking:
-            self.progress(block=True)
-            if self.error is not None:
-                raise self.error
-            return self.result
-        return self.result_future
-
-    def _arm_futures(self) -> None:
-        self.result_future = Future(label=f"{self.op.name}#{self.req_id[-1]}")
-        self.result_future._bind(self._progress_hook)
-        for fut in self.placeholders:
-            fut._bind(self._progress_hook)
-
-    def _abort(self, exc: BaseException, blocking: bool):
-        """``send_request`` vetoed the invocation: nothing was sent."""
-        chain = self.chain
-        self.info.exception = exc
-        try:
-            chain.receive_exception(self.info)
-        except Exception as replaced:
-            exc = replaced
-            self.info.exception = exc
-        self.done = True
-        self.state = "done"
-        self.error = exc
-        obs = self.observer
-        if obs is not None:
-            obs.request_finished(self.req_id, self.ctx.program.name,
-                                 self.binding.client_index,
-                                 self.ctx.now(), "failed")
-        if blocking or self.op.oneway:
-            raise exc
-        fut = Future(label=f"{self.op.name}#{self.req_id[-1]}")
-        fut._fail(exc)
-        self.result_future = fut
-        for ph in self.placeholders:
-            ph._fail(exc)
-        return fut
+        binding.outstanding.append(self)
 
     # -- progress ----------------------------------------------------------
 
@@ -485,9 +533,8 @@ class ClientRequestState:
     # -- completion --------------------------------------------------------
 
     def _finish(self) -> None:
-        chain = self.chain
-        obs = self.observer
-        t0 = self.ctx.now() if obs is not None else 0.0
+        """Every awaited reply and fragment is in: decode the result."""
+        t0 = self.ctx.now() if self.observer is not None else 0.0
         specs = scalar_result_specs(self.op)
         scalars = decode_scalars(
             specs, _decoding(self.ctx, self.reply.scalar_results))
@@ -504,10 +551,20 @@ class ClientRequestState:
             else:
                 out_values.append(scalars[param.name])
         values.extend(out_values)
-        self.result = (None if not values
-                       else values[0] if len(values) == 1
-                       else tuple(values))
-        self.info.result = self.result
+        result = (None if not values
+                  else values[0] if len(values) == 1
+                  else tuple(values))
+        self._succeed(result, out_values, "unmarshal", t0,
+                      nbytes=len(self.reply.scalar_results))
+
+    def _succeed(self, result, out_values: list, phase: str, t0: float,
+                 nbytes: int) -> None:
+        """The success edge: ``receive_reply``, then the ``phase`` span
+        from ``t0``, the finish report and the futures."""
+        chain = self.chain
+        obs = self.observer
+        self.result = result
+        self.info.result = result
         if chain.active:
             try:
                 chain.receive_reply(self.info)
@@ -519,12 +576,12 @@ class ClientRequestState:
         self._detach()
         if obs is not None:
             now = self.ctx.now()
-            obs.span("unmarshal", self.op.name, self.req_id,
+            obs.span(phase, self.op.name, self.req_id,
                      self.ctx.program.name, self.binding.client_index,
-                     t0, now, nbytes=len(self.reply.scalar_results))
+                     t0, now, nbytes=nbytes)
             obs.request_finished(self.req_id, self.ctx.program.name,
                                  self.binding.client_index, now, "ok")
-        self.result_future._resolve(self.result)
+        self.result_future._resolve(result)
         for fut, val in zip(self.placeholders, out_values):
             fut._resolve(val)
 
@@ -549,6 +606,9 @@ class ClientRequestState:
             self.ctx.orb.dead_result_fragments += 1
 
     def _fail(self, exc: BaseException) -> None:
+        """The failure edge, the only one: ``receive_exception`` (which
+        may replace ``exc``), the finish report (after the local bypass's
+        ``"local"`` span) and the futures."""
         if self.done:
             return
         chain = self.chain
@@ -566,9 +626,13 @@ class ClientRequestState:
         self._drain_orphaned_results()
         obs = self.observer
         if obs is not None:
+            now = self.ctx.now()
+            if self.local:
+                obs.span("local", self.op.name, self.req_id,
+                         self.ctx.program.name, self.binding.client_index,
+                         self.t0, now)
             obs.request_finished(self.req_id, self.ctx.program.name,
-                                 self.binding.client_index,
-                                 self.ctx.now(), "failed")
+                                 self.binding.client_index, now, "failed")
         self.result_future._fail(exc)
         for fut in self.placeholders:
             fut._fail(exc)

@@ -3,10 +3,11 @@ placeholder arity, proxy introspection."""
 
 import pytest
 
-from repro.core import BindingError, Future, Simulation
+from repro.core import BindingError, Future, FutureError, Simulation
 from repro.idl import compile_idl
 from repro.runtime import TulipRuntime
 from repro.simkernel import SimKernel
+from repro.tools import attach
 
 from ..runtime.conftest import make_world
 
@@ -43,23 +44,47 @@ class TestOneSidedRegistry:
         world.run()
 
 
-class TestPlaceholderArity:
-    def test_too_many_placeholders_rejected(self, mod):
-        sim = Simulation()
+def _run_tiny(mod, local, body):
+    """Run ``body(ctx, proxy)`` on a client bound to ``tiny``: in another
+    program, or (``local``) in its own, so every call takes the §4.1
+    local bypass.  The world's observer is attached.  Returns the
+    servant's call count."""
+    sim = Simulation()
+    attach(sim.world)
+    calls = []
 
-        def server_main(ctx):
-            class Impl(mod.tiny_skel):
-                def two_outs(self):
-                    return (0, 1, 2)
+    def servant():
+        class Impl(mod.tiny_skel):
+            def two_outs(self):
+                calls.append(1)
+                return (0, 1, 2)
 
-            ctx.poa.activate(Impl(), "tiny", kind="spmd")
-            ctx.poa.impl_is_ready()
+        return Impl()
 
+    def server_main(ctx):
+        ctx.poa.activate(servant(), "tiny", kind="spmd")
+        ctx.poa.impl_is_ready()
+
+    def client(ctx):
+        if local:
+            ctx.poa.activate(servant(), "tiny", kind="spmd")
+        t = mod.tiny._bind("tiny")
+        assert t._binding.local == local
+        body(ctx, t)
+
+    if not local:
         sim.server(server_main, host="HOST_2", nprocs=1)
+    sim.client(client, host="HOST_1")
+    sim.run()
+    return len(calls)
+
+
+class TestPlaceholderArity:
+    @pytest.mark.parametrize("local", [False, True])
+    def test_too_many_placeholders_rejected(self, mod, local):
         out = {}
 
-        def client(ctx):
-            t = mod.tiny._bind("tiny")
+        def body(ctx, t):
             with pytest.raises(BindingError, match="placeholders"):
                 t.two_outs_nb(Future(), Future(), Future())
             # correct arity works, and both placeholders resolve
@@ -67,9 +92,36 @@ class TestPlaceholderArity:
             ret = t.two_outs_nb(a, b).value()
             out["vals"] = (ret, a.value(), b.value())
 
-        sim.client(client, host="HOST_1")
-        sim.run()
+        _run_tiny(mod, local, body)
         assert out["vals"] == ((0, 1, 2), 1, 2)
+
+    @pytest.mark.parametrize("local", [False, True])
+    def test_settled_placeholder_rejected_before_the_call(self, mod, local):
+        """A placeholder that is already settled fails the call before a
+        request id is drawn: the servant does not run, no reply is left
+        queued, the observer records nothing for it, and a placeholder
+        ahead of it is left unarmed for the next call."""
+        out = {}
+
+        def body(ctx, t):
+            a = Future()
+            t.two_outs_nb(a, Future()).value()   # settles a
+            obs = ctx.orb.observer
+            n_records = len(obs.requests)
+            fresh = Future()
+            for placeholders in ((a, Future()), (fresh, a)):
+                with pytest.raises(FutureError, match="already bound"):
+                    t.two_outs_nb(*placeholders)
+            ctx.compute(1.0)
+            out["queued"] = len(ctx.endpoint.channel)
+            out["records"] = len(obs.requests) - n_records
+            out["statuses"] = {rec[3] for rec in obs.requests.values()}
+            t.two_outs_nb(fresh, Future()).value()
+            out["fresh"] = fresh.value()
+
+        assert _run_tiny(mod, local, body) == 2
+        assert out == {"queued": 0, "records": 0, "statuses": {"ok"},
+                       "fresh": 1}
 
 
 class TestProxyIntrospection:
