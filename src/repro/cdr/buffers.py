@@ -12,17 +12,18 @@ and decode as a view (see ``docs/PROTOCOL.md``, "Zero-copy fragment
 lane").  Each simulated world's transport owns one pool; there is no
 process-wide default.
 
-Lifetime rules (enforced by the courier/POA/request-state code):
+Lifetime rules (enforced by the courier and request-state code):
 
 * the **encoder** (sending side) acquires the lease; ownership travels
   with the :class:`~repro.core.request.Fragment` that carries it;
 * the **consumer** releases it — normally right after the fragment's
-  values are inserted into local storage, otherwise whichever drain
-  discards the fragment (the POA dead-letter sweep, or the client's
-  failed-request drain);
-* :meth:`PooledBuffer.release` is idempotent, and a lease that is never
-  released is simply reclaimed by the garbage collector — the pool is an
-  allocation-rate optimization, never a correctness requirement.
+  values are inserted into local storage, otherwise the dead-letter
+  drain that discards the fragment of a rejected, shed, timed-out or
+  failed request;
+* :meth:`PooledBuffer.release` is idempotent.  A lease whose fragment
+  stays queued in a channel is never reclaimed (the channel references
+  it), so every failure path must end in a drain; a buffer the pool does
+  not keep is reclaimed by the garbage collector.
 
 The pool is size-bucketed (powers of two) with a bounded free list per
 bucket, so steady-state fragment traffic of a given shape recycles the

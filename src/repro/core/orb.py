@@ -121,9 +121,9 @@ class ORB:
         #: counters for tests/benchmarks
         self.requests_sent = 0
         self.local_bypasses = 0
-        #: orphaned argument fragments drained by POA dead-lettering
+        #: dead-lettered argument and result fragments drained (see
+        #: repro.core.pipeline.courier.drain_dead_letters)
         self.dead_fragments = 0
-        #: orphaned result fragments drained by a failed client request
         self.dead_result_fragments = 0
         #: portable-interceptor chain shared by every program's request
         #: path in this world; empty until register_interceptor (zero
@@ -274,6 +274,10 @@ class PardisContext:
         )
         #: req_id -> ClientRequestState (client role)
         self.pending: dict = {}
+        #: the program's dead-letter registry: req_id -> the ranks whose
+        #: traffic of that request nobody will consume (pipeline.courier)
+        self.dead_letters: dict = orb.program_services(
+            self.program).setdefault("dead_letters", {})
         self._binding_counter = 0
         self._bindings: dict = {}
         self.poa = POA(self)

@@ -16,12 +16,14 @@ Server programs create servants and activate them through the POA:
 server can interleave servicing with its own computation (§3.3).
 
 Per-request protocol work — argument collection, servant dispatch,
-reply/result emission, interceptor points — lives in
-:class:`repro.core.pipeline.state.ServerRequestState`.  The POA keeps
-the loops, the servant registry, and the *dead-letter* registry:
-requests rejected before/during argument collection leave orphaned
-argument fragments in flight, which are drained here so they can never
-be mis-matched by a later request.
+reply/result emission, interceptor points, and the admission shed's
+refusal — lives in :class:`repro.core.pipeline.state.ServerRequestState`.
+The POA keeps the loops and the servant registry.  Each loop iteration
+first drains the traffic of dead requests queued on this thread
+(:func:`repro.core.pipeline.courier.drain_dead_letters`): a request
+rejected before or during argument collection leaves orphaned argument
+fragments in flight, and they must never be mis-matched by a later
+request.
 """
 
 from __future__ import annotations
@@ -29,18 +31,13 @@ from __future__ import annotations
 from typing import Any, Optional
 
 from ..runtime.program import PORT_ORB
-from ..runtime.tags import TAG_ARG_FRAGMENT, TAG_REPLY_HEADER, TAG_REQUEST_HEADER
+from ..runtime.tags import TAG_REQUEST_HEADER
 from .errors import BindingError, ObjectNotFound
 from .interfacedef import InterfaceDef, OpDef
-from .pipeline.courier import release_fragment
+from .pipeline.courier import drain_dead_letters
 from .pipeline.state import ServerRequestState
 from .repository import ObjectRef
-from .request import OVERLOAD_CONTEXT, ReplyHeader, RequestHeader, STATUS_SYS_EXC
-
-#: Bound on remembered dead request ids (oldest forgotten first).  A
-#: fragment of a forgotten request can no longer be mis-matched anyway:
-#: request ids are never reused.
-_DEAD_LETTER_LIMIT = 256
+from .request import RequestHeader
 
 
 class ServantRecord:
@@ -65,9 +62,6 @@ class POA:
         self.ctx = ctx
         svc = ctx.orb.program_services(ctx.program)
         self._registry: dict[str, ServantRecord] = svc.setdefault("servants", {})
-        #: request ids whose argument fragments are orphaned (rejected
-        #: before collection completed); insertion-ordered for trimming
-        self._dead_letters: dict = {}
         #: repro.services.AdmissionController, or None (dispatch whatever
         #: arrives — the historic behaviour, zero extra cost)
         self.admission = None
@@ -183,8 +177,10 @@ class POA:
         return n
 
     def _process_one(self, block: bool) -> bool:
-        ep = self.ctx.endpoint
-        self._drain_dead_letters()
+        ctx = self.ctx
+        ep = ctx.endpoint
+        if ctx.dead_letters:
+            drain_dead_letters(ctx)
 
         def match(env):
             return env.payload.tag == TAG_REQUEST_HEADER
@@ -211,13 +207,13 @@ class POA:
                 break
             self._admit(env.payload.body)
             budget -= 1
-        hdr = self.admission.pop(self.ctx.now())
+        hdr = self.admission.pop(ctx.now())
         if hdr is None:
             if not block:
                 return False
             env = ep.channel.receive(match, reason="impl_is_ready")
             self._admit(env.payload.body)
-            hdr = self.admission.pop(self.ctx.now())
+            hdr = self.admission.pop(ctx.now())
             if hdr is None:
                 return True  # the fresh arrival was shed; keep looping
         self._handle(hdr)
@@ -225,37 +221,7 @@ class POA:
 
     def _admit(self, hdr: RequestHeader) -> None:
         if not self.admission.offer(hdr, self.ctx.now()):
-            self._shed(hdr)
-
-    def _shed(self, hdr: RequestHeader) -> None:
-        """Refuse an un-admitted request: dead-letter its argument
-        fragments, annotate the trace, and (for twoway requests) reply
-        with the overload marker so the client raises
-        :class:`~repro.core.errors.TransientException` and its throttle
-        interceptor backs off."""
-        ctx = self.ctx
-        if hdr.dseq_args:
-            self._dead_letter(hdr.req_id)
-        obs = ctx.orb.observer
-        if obs is not None:
-            now = ctx.now()
-            obs.span("shed", hdr.op, hdr.req_id, ctx.program.name,
-                     ctx.rank, now, now)
-        if hdr.oneway:
-            return
-        contexts = {OVERLOAD_CONTEXT: True}
-        self.admission.stamp_reply(contexts)
-        reply = ReplyHeader(
-            hdr.req_id, STATUS_SYS_EXC,
-            exception=(f"{hdr.op} shed by admission control on "
-                       f"{ctx.program.name} (queue full)"),
-            service_contexts=contexts,
-        )
-        transport = ctx.orb.world.transport
-        nb = reply.nbytes()
-        for addr in hdr.reply_to:
-            transport.send(ctx.endpoint.address, addr, reply,
-                           tag=TAG_REPLY_HEADER, nbytes=nb)
+            ServerRequestState(self, hdr).shed()
 
     def _handle(self, hdr: RequestHeader) -> None:
         ServerRequestState(self, hdr).run()
@@ -275,34 +241,3 @@ class POA:
             if attr is not None and not attr.readonly:
                 return attr.setter
         return None
-
-    # -- dead-lettered argument fragments ---------------------------------------
-
-    def _dead_letter(self, req_id) -> None:
-        """Mark ``req_id``'s argument fragments as orphaned and sweep any
-        that are already queued."""
-        self._dead_letters[req_id] = True
-        while len(self._dead_letters) > _DEAD_LETTER_LIMIT:
-            self._dead_letters.pop(next(iter(self._dead_letters)))
-        self._drain_dead_letters()
-
-    def _drain_dead_letters(self) -> None:
-        """Discard queued argument fragments of rejected requests.  Also
-        run on every loop iteration: fragments may still have been in
-        flight when their request was rejected."""
-        if not self._dead_letters:
-            return
-        channel = self.ctx.endpoint.channel
-        dead = self._dead_letters
-
-        def match(env):
-            pkt = env.payload
-            return (pkt.tag == TAG_ARG_FRAGMENT
-                    and pkt.body.req_id in dead)
-
-        while True:
-            env = channel.poll(match)
-            if env is None:
-                break
-            release_fragment(env.payload.body)
-            self.ctx.orb.dead_fragments += 1

@@ -124,7 +124,8 @@ def _saturation(args) -> str:
     results = run_saturation(clients=tuple(args.clients),
                              requests=args.requests,
                              capacity=args.capacity,
-                             policy=args.policy)
+                             policy=args.policy,
+                             session=session)
     titles = {
         "admission_off": "Saturation: admission off (unbounded queueing)",
         "admission_on": (f"Saturation: admission on (capacity "

@@ -98,12 +98,20 @@ def run_point(n_clients: int,
               service_time: float = DEFAULT_SERVICE_TIME,
               capacity: Optional[int] = None,
               policy: str = "fifo",
-              throttle: bool = True) -> SaturationRow:
+              throttle: bool = True,
+              session=None) -> SaturationRow:
     """One sweep point: ``n_clients`` closed-loop client threads against
-    one server.  ``capacity=None`` disables admission control."""
+    one server.  ``capacity=None`` disables admission control;
+    ``session`` (a :class:`~repro.tools.observe.TraceSession`) observes
+    the run."""
     mod = _work_module()
     sim = Simulation(network=_network(n_clients),
                      config=OrbConfig(max_outstanding=1))
+    if session is not None:
+        mode = ("admission off" if capacity is None
+                else "admission on + throttle" if throttle
+                else "admission on")
+        session.attach(sim, label=f"saturation n={n_clients} {mode}")
     throttler = None
     if capacity is not None and throttle:
         throttler = sim.register_interceptor(ThrottleInterceptor(seed=7))
@@ -157,18 +165,22 @@ def run_saturation(clients: Sequence[int] = DEFAULT_CLIENTS,
                    requests: int = DEFAULT_REQUESTS,
                    service_time: float = DEFAULT_SERVICE_TIME,
                    capacity: int = 4,
-                   policy: str = "fifo") -> dict[str, list[SaturationRow]]:
+                   policy: str = "fifo",
+                   session=None) -> dict[str, list[SaturationRow]]:
     """The full sweep at each client count: admission off, admission on
     (the bounded-latency evidence), and admission on with the client
     throttle (the shed-reduction evidence; see the module docstring for
-    why its latency column includes deliberate client pacing)."""
-    off = [run_point(n, requests, service_time, capacity=None)
+    why its latency column includes deliberate client pacing).
+    ``session`` (a :class:`~repro.tools.observe.TraceSession`) observes
+    every run."""
+    off = [run_point(n, requests, service_time, capacity=None,
+                     session=session)
            for n in clients]
     on = [run_point(n, requests, service_time, capacity=capacity,
-                    policy=policy, throttle=False)
+                    policy=policy, throttle=False, session=session)
           for n in clients]
     on_throttled = [run_point(n, requests, service_time, capacity=capacity,
-                              policy=policy, throttle=True)
+                              policy=policy, throttle=True, session=session)
                     for n in clients]
     return {"admission_off": off, "admission_on": on,
             "admission_on_throttled": on_throttled}

@@ -82,3 +82,14 @@ class TestCli:
         doc = json.loads(out.read_text())
         assert set(doc) == {"admission_off", "admission_on",
                             "admission_on_throttled"}
+
+    def test_saturation_trace_records_the_sheds(self, tmp_path, capsys):
+        from repro.experiments import cli
+        from repro.tools import validate_chrome_trace
+
+        out = tmp_path / "sat-trace.json"
+        assert cli.main(["--trace", str(out), "saturation", "--clients", "4",
+                         "--requests", "4", "--capacity", "1"]) == 0
+        assert "chrome trace written" in capsys.readouterr().out
+        assert validate_chrome_trace(json.loads(out.read_text()),
+                                     require_phases=("shed",)) > 0

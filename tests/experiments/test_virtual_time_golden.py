@@ -50,25 +50,25 @@ def _rows(rows, skip=frozenset()):
 
 
 def collect_figures(session=None) -> dict:
-    """fig2, fig4 and fig5 at the CLI smoke sizes; ``session`` (a
-    :class:`~repro.tools.observe.TraceSession`) instruments every run."""
+    """fig2, fig4, fig5 and the saturation sweep at the CLI smoke sizes;
+    ``session`` (a :class:`~repro.tools.observe.TraceSession`)
+    instruments every run."""
     return {
         "fig2": _rows(run_fig2(sizes=(200,), session=session), _NOT_VIRTUAL),
         "fig4": _rows(run_fig4(procs=(2,), n_seqs=60, rounds=3,
                                session=session)),
         "fig5": _rows(run_fig5(procs=(2,), steps=10, session=session)),
+        "saturation": {
+            series: _rows(rows) for series, rows in run_saturation(
+                clients=(1, 4, 8), requests=10, capacity=4,
+                session=session).items()
+        },
     }
 
 
 def collect() -> dict:
     """Every pinned figure, keyed by experiment."""
-    out = {
-        **collect_figures(),
-        "saturation": {
-            series: _rows(rows) for series, rows in run_saturation(
-                clients=(1, 4, 8), requests=10, capacity=4).items()
-        },
-    }
+    out = collect_figures()
     # The scorecard: the data every claim is judged on, the §6 pair it
     # computes itself, and each verdict.
     data = scorecard._data(paper_scale=False)
