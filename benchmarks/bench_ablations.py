@@ -12,7 +12,12 @@ DESIGN.md and quantifies its effect in virtual time.
 import numpy as np
 import pytest
 
-from repro.core import Distribution, OrbConfig, Simulation
+from repro.core import (
+    Distribution,
+    OrbConfig,
+    Simulation,
+    resolve_dist_spec,
+)
 from repro.idl import compile_idl
 from repro.runtime import MPIRuntime
 
@@ -198,10 +203,10 @@ def test_redistribution_cost(benchmark, src, dst):
 
         def main(ctx):
             d = DistributedSequence.from_global(
-                np.zeros(n), Distribution.of_kind(src, n, ctx.nprocs),
+                np.zeros(n), resolve_dist_spec(src, n, ctx.nprocs),
                 ctx.rank)
             t0 = ctx.now()
-            d.redistribute(Distribution.of_kind(dst, n, ctx.nprocs), ctx.rts)
+            d.redistribute(resolve_dist_spec(dst, n, ctx.nprocs), ctx.rts)
             if ctx.rank == 0:
                 out["t"] = ctx.now() - t0
 

@@ -203,11 +203,11 @@ def test_transfer_extract_insert(benchmark, kind):
     insert, no CDR.  BLOCK moves each item as one slice; CYCLIC walks
     each item's cached local index arrays."""
     from repro.core import transfer
-    from repro.core.distribution import Distribution
+    from repro.core.distribution import resolve_dist_spec
 
     n = 256
-    src = Distribution.of_kind(kind, n, 4)
-    dst = Distribution.of_kind(kind, n, 3)
+    src = resolve_dist_spec(kind, n, 4)
+    dst = resolve_dist_spec(kind, n, 3)
     rows = [np.full(n, float(g)) for g in range(n)]
     src_locals = [[rows[g] for g in src.global_indices(r)]
                   for r in range(src.p)]

@@ -207,12 +207,12 @@ class ArrayTC(TypeCode):
         if is_numeric_primitive(self.element):
             return np.zeros(self.dims, dtype=self.element.dtype)
 
-        def build(dims):
+        def nested(dims):
             if not dims:
                 return self.element.default()
-            return [build(dims[1:]) for _ in range(dims[0])]
+            return [nested(dims[1:]) for _ in range(dims[0])]
 
-        return build(self.dims)
+        return nested(self.dims)
 
     def __repr__(self) -> str:
         dims = "".join(f"[{d}]" for d in self.dims)

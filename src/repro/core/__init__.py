@@ -6,7 +6,7 @@ parallel argument-transfer engine.
 """
 
 from .dii import DynamicProxy, InterfaceRepository, dynamic_bind
-from .distribution import Distribution, RowBlock
+from .distribution import Distribution, RowBlock, resolve_dist_spec
 from .dsequence import DistributedSequence
 from .errors import (
     ActivationError,
@@ -88,4 +88,5 @@ __all__ = [
     "UserException",
     "default_network",
     "dynamic_bind",
+    "resolve_dist_spec",
 ]

@@ -10,13 +10,18 @@ elements of a sequence should be distributed among the processors").
 Internally every distribution is a per-rank list of half-open global index
 intervals; the transfer engine intersects interval lists to build
 communication schedules, so any two distributions can be converted.
+
+Wherever a layout is accepted it is named by a *spec*, and
+:func:`resolve_dist_spec` is the one reader of specs.
 """
 
 from __future__ import annotations
 
+from numbers import Real
 from typing import Iterable, Sequence
 
 from .._record import FrozenRecord
+from .errors import BadOperation
 
 _set = object.__setattr__
 
@@ -111,17 +116,6 @@ class Distribution(FrozenRecord):
         d.validate()
         return d
 
-    @staticmethod
-    def of_kind(kind: str, n: int, p: int) -> "Distribution":
-        """Build a named distribution (the IDL dsequence attributes)."""
-        if kind == "BLOCK":
-            return Distribution.block(n, p)
-        if kind == "CYCLIC":
-            return Distribution.cyclic(n, p)
-        if kind == "CONCENTRATED":
-            return Distribution.concentrated(n, p)
-        raise ValueError(f"unknown distribution kind {kind!r}")
-
     # -- queries ------------------------------------------------------------------
 
     def intervals(self, rank: int) -> tuple[Interval, ...]:
@@ -205,9 +199,9 @@ class RowBlock:
     """Distribution spec: block the sequence on multiples of ``nx``.
 
     Used for row-major flattened 2-D data (e.g. POOMA fields): each rank
-    gets a contiguous run of whole rows.  Usable wherever a distribution
-    kind string is accepted (servers register it as an "in"-argument
-    override so stencil codes receive row-aligned fragments).
+    gets a contiguous run of whole rows.  Usable wherever a layout spec
+    is accepted (servers register it as an "in"-argument override so
+    stencil codes receive row-aligned fragments).
     """
 
     def __init__(self, nx: int) -> None:
@@ -232,12 +226,52 @@ class RowBlock:
         return f"RowBlock(nx={self.nx})"
 
 
+#: the named kinds: the IDL dsequence attributes
+_KINDS = {"BLOCK": Distribution.block, "CYCLIC": Distribution.cyclic,
+          "CONCENTRATED": Distribution.concentrated}
+
+
 def resolve_dist_spec(spec, n: int, p: int) -> Distribution:
-    """A distribution 'spec' is a kind name ("BLOCK"/"CYCLIC"/
-    "CONCENTRATED") or any object with ``instantiate(n, p)``."""
+    """The layout a spec names for ``n`` elements over ``p`` ranks.
+
+    A spec is a kind name (``"BLOCK"``/``"CYCLIC"``/``"CONCENTRATED"``),
+    a sequence of weights (a proportion template, one weight per rank), a
+    :class:`Distribution` (taken as is: its ``n`` and ``p`` must match)
+    or any object with ``instantiate(n, p)``, such as :class:`RowBlock`.
+    It names every layout: the IDL defaults, servers' ``in_dists``
+    overrides, clients' out requests and new sequences."""
     if isinstance(spec, str):
-        return Distribution.of_kind(spec, n, p)
-    return spec.instantiate(n, p)
+        make = _KINDS.get(spec)
+        if make is None:
+            raise ValueError(f"unknown distribution kind {spec!r}")
+        return make(n, p)
+    if isinstance(spec, Distribution):
+        if spec.n != n or spec.p != p:
+            raise BadOperation(
+                f"distribution {spec} does not match (n={n}, p={p})")
+        return spec
+    if isinstance(spec, (list, tuple)):
+        if len(spec) != p:
+            raise BadOperation(
+                f"distribution template has {len(spec)} weights for {p} "
+                "ranks")
+        return Distribution.template(n, spec)
+    return check_dist_spec(spec).instantiate(n, p)
+
+
+def check_dist_spec(spec):
+    """``spec`` as it is kept and sent: a weights list frozen to a tuple,
+    any other spec :func:`resolve_dist_spec` can read as given.  Raises
+    ``TypeError`` at once for a spec it cannot read."""
+    if isinstance(spec, list):
+        spec = tuple(spec)
+    if isinstance(spec, tuple):
+        if all(isinstance(w, Real) for w in spec):
+            return spec
+    elif isinstance(spec, (str, Distribution)) or hasattr(spec,
+                                                          "instantiate"):
+        return spec
+    raise TypeError(f"cannot interpret distribution spec {spec!r}")
 
 
 def _check(n: int, p: int) -> None:

@@ -61,11 +61,10 @@ class DistributedSequence:
     # -- constructors ------------------------------------------------------------
 
     @classmethod
-    def create(cls, n: int, element: TypeCode = TC_DOUBLE,
-               kind: str = "BLOCK", *, rank: int, nprocs: int
-               ) -> "DistributedSequence":
-        """A zero-initialized sequence of global length ``n``."""
-        return cls(element, Distribution.of_kind(kind, n, nprocs), rank)
+    def create(cls, n: int, element: TypeCode = TC_DOUBLE, *, rank: int,
+               nprocs: int) -> "DistributedSequence":
+        """A zero-initialized, blockwise sequence of global length ``n``."""
+        return cls(element, Distribution.block(n, nprocs), rank)
 
     @classmethod
     def adopt(cls, local_data, dist: Distribution, rank: int,

@@ -9,7 +9,7 @@ the (distribution, local data) pairs the transfer engine works with.
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Any
 
 import numpy as np
 
@@ -22,10 +22,7 @@ from ..cdr import (
 )
 from .distribution import Distribution
 from .dsequence import DistributedSequence
-from .errors import BadOperation
 from .interfacedef import OpDef, ParamDef
-from .request import build as build_dist
-from .request import describe as describe_dist
 
 # ---------------------------------------------------------------------------
 # Scalar streams
@@ -106,50 +103,3 @@ def wrap_out(param: ParamDef, dseq: DistributedSequence) -> Any:
     if param.adapter is not None:
         return param.adapter.wrap(dseq)
     return dseq
-
-
-# ---------------------------------------------------------------------------
-# Out-distribution requests
-# ---------------------------------------------------------------------------
-
-
-def encode_out_request(req: Any) -> Optional[tuple]:
-    """Normalize a client's requested out-distribution (a kind name,
-    proportions, or a full Distribution) to a wire descriptor."""
-    if req is None:
-        return None
-    if isinstance(req, str):
-        return ("KIND", req)
-    if isinstance(req, Distribution):
-        return ("EXACT", describe_dist(req))
-    if isinstance(req, (list, tuple)):
-        return ("TEMPLATE", tuple(float(w) for w in req))
-    raise TypeError(f"cannot interpret out-distribution request {req!r}")
-
-
-def resolve_out_dist(request: Optional[tuple], default_kind: str, n: int,
-                     p: int) -> Distribution:
-    """Instantiate the client-side layout of a distributed out argument
-    once its length ``n`` is known.  Client and server both run this with
-    identical inputs, so their schedules agree."""
-    if request is None:
-        return Distribution.of_kind(default_kind, n, p)
-    tag = request[0]
-    if tag == "KIND":
-        return Distribution.of_kind(request[1], n, p)
-    if tag == "TEMPLATE":
-        if len(request[1]) != p:
-            raise BadOperation(
-                f"out-distribution template has {len(request[1])} weights "
-                f"for {p} client threads"
-            )
-        return Distribution.template(n, request[1])
-    if tag == "EXACT":
-        d = build_dist(request[1])
-        if d.n != n or d.p != p:
-            raise BadOperation(
-                f"requested out distribution {d} does not match the "
-                f"result (n={n}, p={p})"
-            )
-        return d
-    raise BadOperation(f"bad out-distribution request {request!r}")

@@ -20,9 +20,10 @@ from .._record import Record
 from ..cdr import TC_DOUBLE, TypeCode
 from ..runtime.program import PORT_ORB, ParallelProgram, World
 from ..simkernel import SimKernel
-from .distribution import Distribution
+from .distribution import resolve_dist_spec
 from .dsequence import DistributedSequence
 from .errors import ActivationError, ObjectNotFound
+from .pipeline.courier import drain_dead_letters
 from .pipeline.interceptors import InterceptorChain, RequestInterceptor
 from .repository import (
     ActivationRecord,
@@ -236,12 +237,17 @@ class ORB:
                        node_offset: int = 0, args: tuple = (),
                        start_time: float = 0.0) -> ParallelProgram:
         """Launch a parallel program whose threads receive a
-        :class:`PardisContext` (``main(ctx, *args)``)."""
+        :class:`PardisContext` (``main(ctx, *args)``).  A thread whose
+        ``main`` returns drains its dead letters once more, so dead
+        traffic that landed after its last request leaves nothing queued."""
 
         def _wrapped(rts, *a):
             ctx = PardisContext(self, rts, namespace)
             SimKernel.current().locals["pardis"] = ctx
-            return main(ctx, *a)
+            result = main(ctx, *a)
+            if ctx.dead_letters:
+                drain_dead_letters(ctx)
+            return result
 
         return self.world.launch(
             _wrapped, host=host, nprocs=nprocs, daemon=daemon, name=name,
@@ -299,22 +305,20 @@ class PardisContext:
     # -- data ------------------------------------------------------------------------
 
     def dseq(self, n_or_data, element: TypeCode = TC_DOUBLE,
-             kind: str = "BLOCK", dist: Optional[Distribution] = None
-             ) -> DistributedSequence:
+             dist="BLOCK") -> DistributedSequence:
         """Construct a distributed sequence bound to this thread.
 
         ``n_or_data`` is either a global length (zero-initialized) or
-        global data (each thread keeps its local part).
+        global data (each thread keeps its local part); ``dist`` is its
+        layout spec (see :func:`~repro.core.distribution.resolve_dist_spec`).
         """
         if isinstance(n_or_data, int):
-            if dist is None:
-                dist = Distribution.of_kind(kind, n_or_data, self.nprocs)
-            return DistributedSequence(element, dist, self.rank)
-        data = n_or_data
-        if dist is None:
-            dist = Distribution.of_kind(kind, len(data), self.nprocs)
-        return DistributedSequence.from_global(data, dist, self.rank,
-                                               element)
+            return DistributedSequence(
+                element, resolve_dist_spec(dist, n_or_data, self.nprocs),
+                self.rank)
+        return DistributedSequence.from_global(
+            n_or_data, resolve_dist_spec(dist, len(n_or_data), self.nprocs),
+            self.rank, element)
 
     def __repr__(self) -> str:
         return (f"<PardisContext {self.program.name}[{self.rank}] "

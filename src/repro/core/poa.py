@@ -86,10 +86,11 @@ class POA:
 
         SPMD activation is collective over all computing threads of the
         server ("the instantiation of an SPMD object is collective",
-        §3.1).  ``in_dists`` maps ``(op, param)`` to a distribution kind,
-        overriding the IDL default for "in" arguments prior to
-        registration (§3.2).  ``replica=True`` joins an existing name's
-        replica group instead of requiring the name to be free.
+        §3.1).  ``in_dists`` maps ``(op, param)`` to a layout spec (see
+        :func:`~repro.core.distribution.resolve_dist_spec`), overriding
+        the IDL default for "in" arguments prior to registration (§3.2).
+        ``replica=True`` joins an existing name's replica group instead
+        of requiring the name to be free.
         """
         iface: InterfaceDef = servant._interface
         ctx = self.ctx

@@ -3,14 +3,16 @@
 Three message kinds travel on ORB endpoints (all with reserved tags):
 
 * :class:`RequestHeader` — operation name, request id, CDR-encoded scalar
-  in-arguments, and layout metadata for distributed arguments;
+  in-arguments, the client-side layouts of the distributed in-arguments
+  and the client's layout specs for distributed results;
 * :class:`Fragment` — one thread-to-thread piece of a distributed
   argument or result;
 * :class:`ReplyHeader` — completion status, CDR-encoded scalar results,
-  and layout metadata for distributed results.
+  and the server- and client-side layouts of each distributed result,
+  which the server resolves once.
 
-Distributions travel as compact :func:`describe`/:func:`build` descriptors
-so each side can reconstruct the schedule locally.
+Layouts travel as :class:`~repro.core.distribution.Distribution` values.
+A header's simulated size counts its layout entries, not their contents.
 """
 
 from __future__ import annotations
@@ -53,30 +55,6 @@ def _charged_contexts(contexts: dict) -> int:
     return len(contexts) - (TRACE_CONTEXT in contexts)
 
 
-def describe(dist: Distribution) -> tuple:
-    """Compact, picklable descriptor of a distribution."""
-    if dist.kind in ("BLOCK", "CYCLIC"):
-        return (dist.kind, dist.n, dist.p)
-    if dist.kind == "CONCENTRATED":
-        owner = next(
-            (r for r in range(dist.p) if dist.local_size(r)), 0
-        )
-        return ("CONCENTRATED", dist.n, dist.p, owner)
-    return ("EXPLICIT", dist.n, dist.p, dist.parts)
-
-
-def build(descr: tuple) -> Distribution:
-    """Inverse of :func:`describe`."""
-    kind = descr[0]
-    if kind in ("BLOCK", "CYCLIC"):
-        return Distribution.of_kind(kind, descr[1], descr[2])
-    if kind == "CONCENTRATED":
-        return Distribution.concentrated(descr[1], descr[2], descr[3])
-    if kind == "EXPLICIT":
-        return Distribution(descr[1], descr[2], "EXPLICIT", descr[3])
-    raise ValueError(f"bad distribution descriptor {descr!r}")
-
-
 class RequestHeader:
     """First message of an invocation, delivered to every server thread
     (rank 0 receives it from the client and forwards to its peers through
@@ -89,8 +67,8 @@ class RequestHeader:
     def __init__(self, req_id: ReqId, object_name: str, op: str, kind: str,
                  client_program_id: int, client_nthreads: int,
                  reply_to: tuple[Address, ...], scalar_args: bytes,
-                 dseq_args: Optional[dict[str, tuple]] = None,
-                 out_dists: Optional[dict[str, tuple]] = None,
+                 dseq_args: Optional[dict[str, Distribution]] = None,
+                 out_dists: Optional[dict[str, Any]] = None,
                  oneway: bool = False, forwarded: bool = False,
                  service_contexts: Optional[dict[str, Any]] = None) -> None:
         self.req_id = req_id
@@ -103,9 +81,10 @@ class RequestHeader:
         self.reply_to = reply_to
         #: CDR: non-distributed in-args, in order
         self.scalar_args = scalar_args
-        #: param name -> distribution descriptor of the client-side layout
+        #: param name -> client-side layout of a distributed in arg
         self.dseq_args = {} if dseq_args is None else dseq_args
-        #: param name -> client-requested layout for distributed out args
+        #: param name -> the client's layout spec for a distributed out
+        #: arg (as ``check_dist_spec`` returns it), if it gave one
         self.out_dists = {} if out_dists is None else out_dists
         self.oneway = oneway
         self.forwarded = forwarded
@@ -176,7 +155,7 @@ class ReplyHeader:
         self.status = status
         #: CDR: return value then scalar outs
         self.scalar_results = scalar_results
-        #: out param name -> (distribution descriptor of server-side layout)
+        #: out param name -> (server-side layout, client-side layout)
         self.dseq_outs = {} if dseq_outs is None else dseq_outs
         #: (exception repo_id, CDR fields) for user exceptions,
         #: or a message string for system exceptions

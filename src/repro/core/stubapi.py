@@ -241,17 +241,19 @@ class DSeqFactory:
     def element(self):
         return self.tc.element
 
-    def __call__(self, n_or_data, kind: Optional[str] = None,
-                 dist: Optional[Distribution] = None):
+    def __call__(self, n_or_data, dist=None):
+        """A new sequence of length ``n_or_data`` (or holding that global
+        data), laid out by the layout spec ``dist`` (default: the
+        typedef's client distribution)."""
         ctx = current_context()
-        kind = kind or self.tc.client_dist
         if self.tc.bound is not None:
             n = n_or_data if isinstance(n_or_data, int) else len(n_or_data)
             if n > self.tc.bound:
                 raise ValueError(
                     f"{self.name}: length {n} exceeds bound {self.tc.bound}"
                 )
-        ds = ctx.dseq(n_or_data, element=self.tc.element, kind=kind, dist=dist)
+        ds = ctx.dseq(n_or_data, element=self.tc.element,
+                      dist=self.tc.client_dist if dist is None else dist)
         if self.adapter is not None:
             return self.adapter.wrap(ds)
         return ds

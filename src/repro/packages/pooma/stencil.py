@@ -30,8 +30,7 @@ def nine_point_stencil(src: np.ndarray, alpha: float) -> np.ndarray:
     return c + alpha * (ortho + 0.5 * diag - 6.0 * c)
 
 
-def diffusion_step(field: Field, alpha: float = 0.1,
-                   charge: bool = True) -> None:
+def diffusion_step(field: Field, alpha: float = 0.1) -> None:
     """Advance the diffusion field one time step (in place).
 
     Exchanges ghosts, applies the 9-point stencil to a laterally-padded
@@ -51,7 +50,7 @@ def diffusion_step(field: Field, alpha: float = 0.1,
     if field.layout.row_stop(field.rank) == field.layout.ny:
         padded[-1, :] = padded[-2, :]
     field.interior = nine_point_stencil(padded, alpha)
-    if charge and field.rts is not None:
+    if field.rts is not None:
         field.rts.charge_flops(rows * nx * STENCIL_FLOPS_PER_POINT)
 
 

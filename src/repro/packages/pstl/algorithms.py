@@ -19,31 +19,30 @@ from .dvector import DVector
 ELEMENTWISE_FLOPS = 4
 
 
-def par_transform(src: DVector, fn: Callable, out: DVector | None = None,
-                  charge: bool = True) -> DVector:
+def par_transform(src: DVector, fn: Callable, out: DVector | None = None
+                  ) -> DVector:
     """``out[i] = fn(src[i])`` in parallel; returns ``out``."""
     if out is None:
         out = DVector(len(src), src.rank, src.dist.p, src.rts, dist=src.dist)
     if out.dist.parts != src.dist.parts:
         raise ValueError("par_transform needs aligned distributions")
     out.local[:] = fn(src.local)
-    if charge and src.rts is not None:
+    if src.rts is not None:
         src.rts.charge_flops(src.local_size * ELEMENTWISE_FLOPS)
     return out
 
 
-def par_for_each(vec: DVector, fn: Callable, charge: bool = True) -> None:
+def par_for_each(vec: DVector, fn: Callable) -> None:
     """Apply ``fn`` to the local block in place."""
     vec.local[:] = fn(vec.local)
-    if charge and vec.rts is not None:
+    if vec.rts is not None:
         vec.rts.charge_flops(vec.local_size * ELEMENTWISE_FLOPS)
 
 
 def par_reduce(vec: DVector, op: Callable[[float, float], float] = None,
-               local_op: Callable[[np.ndarray], float] = np.sum,
-               charge: bool = True) -> float:
+               local_op: Callable[[np.ndarray], float] = np.sum) -> float:
     """Reduce the whole vector to one value, identical on every thread."""
-    if charge and vec.rts is not None:
+    if vec.rts is not None:
         vec.rts.charge_flops(vec.local_size)
     local = float(local_op(vec.local)) if vec.local_size else 0.0
     if vec.rts is None or vec.dist.p == 1:

@@ -112,3 +112,47 @@ def test_timed_out_requests_late_traffic_is_drained(mod):
     assert out["left"] == 0
     assert sim.world.transport.buffer_pool.stats.outstanding == 0
     assert sim.orb.dead_result_fragments == 10
+
+
+def test_dead_traffic_after_the_last_request_is_drained_at_exit():
+    """A result fragment of a failed request that lands after the client
+    thread's last request completed is drained when its ``main``
+    returns: nothing stays queued and no lease stays outstanding."""
+    mod = compile_idl("""
+        typedef dsequence<double, 1024> pv;
+        interface partial { void scale(in double k, in pv v, out pv w); };
+    """, module_name="dead_letter_exit_stubs")
+    sim = Simulation()
+
+    def server_main(ctx):
+        class Impl(mod.partial_skel):
+            def scale(self, k, v):
+                if ctx.rank == 1:
+                    raise RuntimeError("rank 1 failed")
+                from repro.core import DistributedSequence
+
+                return DistributedSequence(v.element, v.dist, v.rank,
+                                           np.asarray(v.owned_data) * k)
+
+        ctx.poa.activate(Impl(), "partial", kind="spmd")
+        ctx.poa.impl_is_ready()
+
+    failures = []
+
+    def client_main(ctx):
+        srv = mod.partial._spmd_bind("partial")
+        with pytest.raises(SystemException, match="rank 1 failed"):
+            srv.scale(2.0, mod.pv(np.arange(16.0)))
+        failures.append(ctx.rank)
+        ctx.compute(1.0)  # the surviving server thread's fragment lands
+
+    sim.server(server_main, host="HOST_2", nprocs=2)
+    client = sim.client(client_main, host="HOST_1", nprocs=2)
+    sim.run()
+    assert sorted(failures) == [0, 1]
+    for rank in range(2):
+        channel = sim.world.transport.endpoint(
+            client.address(rank, PORT_ORB)).channel
+        assert len(channel) == 0
+    assert sim.world.transport.buffer_pool.stats.outstanding == 0
+    assert sim.orb.dead_result_fragments == 1

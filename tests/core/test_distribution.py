@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.distribution import Distribution
+from repro.core.distribution import Distribution, resolve_dist_spec
 
 
 class TestBlock:
@@ -121,7 +121,7 @@ class TestValidation:
         with pytest.raises(ValueError):
             Distribution.block(4, 0)
         with pytest.raises(ValueError):
-            Distribution.of_kind("DIAGONAL", 4, 2)
+            resolve_dist_spec("DIAGONAL", 4, 2)
 
 
 @settings(max_examples=80)
@@ -131,7 +131,7 @@ class TestValidation:
     kind=st.sampled_from(["BLOCK", "CYCLIC", "CONCENTRATED"]),
 )
 def test_property_every_distribution_is_a_partition(n, p, kind):
-    d = Distribution.of_kind(kind, n, p)
+    d = resolve_dist_spec(kind, n, p)
     seen = {}
     for r in range(p):
         for i in d.global_indices(r):
@@ -163,7 +163,7 @@ def test_property_owner_matches_global_to_local(n, p, seed):
 
     rng = random.Random(seed)
     kind = rng.choice(["BLOCK", "CYCLIC"])
-    d = Distribution.of_kind(kind, n, p)
+    d = resolve_dist_spec(kind, n, p)
     i = rng.randrange(n)
     r, _ = d.global_to_local(i)
     assert d.owner_of(i) == r

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.cdr import SequenceTC, StringTC, TC_DOUBLE, TC_LONG
-from repro.core.distribution import Distribution
+from repro.core.distribution import Distribution, resolve_dist_spec
 from repro.core.dsequence import DistributedSequence
 from repro.core.errors import NonLocalAccess
 from repro.runtime import MPIRuntime, TulipRuntime
@@ -126,10 +126,10 @@ class TestRedistribution:
         n, p = 23, 3
 
         def main(rts):
-            src = Distribution.of_kind(src_kind, n, p)
+            src = resolve_dist_spec(src_kind, n, p)
             data = np.arange(n, dtype=float) * 2.0
             d = DistributedSequence.from_global(data, src, rts.rank)
-            dst = Distribution.of_kind(dst_kind, n, p)
+            dst = resolve_dist_spec(dst_kind, n, p)
             d2 = d.redistribute(dst, rts)
             expected = [data[i] for i in dst.global_indices(rts.rank)]
             np.testing.assert_array_equal(d2.owned_data, expected)

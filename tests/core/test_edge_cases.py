@@ -94,7 +94,7 @@ class TestCyclicOverTheWire:
         n = 23
 
         def main(ctx):
-            v = ctx.dseq(np.arange(float(n)), kind="CYCLIC")
+            v = ctx.dseq(np.arange(float(n)), dist="CYCLIC")
             e = mod.edge._spmd_bind("edge")
             w = e.roundtrip(v)
             assert w.dist.kind == "CYCLIC"
@@ -108,7 +108,7 @@ class TestCyclicOverTheWire:
 
     def test_cyclic_uneven_thread_counts(self, mod):
         def main(ctx):
-            v = ctx.dseq(np.ones(31), kind="CYCLIC")
+            v = ctx.dseq(np.ones(31), dist="CYCLIC")
             e = mod.edge._spmd_bind("edge")
             return e.total(v)
 

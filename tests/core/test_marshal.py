@@ -1,20 +1,22 @@
-"""Unit tests for marshal helpers (scalar streams, container adaptation,
-out-distribution requests)."""
+"""Unit tests for marshal helpers (scalar streams, container adaptation)
+and for reading the layout specs of out-distribution requests."""
 
 import numpy as np
 import pytest
 
 from repro.cdr import DSequenceTC, StringTC, TC_DOUBLE, TC_LONG
-from repro.core.distribution import Distribution
+from repro.core.distribution import (
+    Distribution,
+    check_dist_spec,
+    resolve_dist_spec,
+)
 from repro.core.dsequence import DistributedSequence
 from repro.core.errors import BadOperation
 from repro.core.interfacedef import AttrDef, OpDef, ParamDef
 from repro.core.marshal import (
     as_distributed,
     decode_scalars,
-    encode_out_request,
     encode_scalars,
-    resolve_out_dist,
     scalar_in_specs,
     scalar_result_specs,
 )
@@ -133,49 +135,58 @@ class TestAsDistributed:
 
 
 class TestOutRequests:
+    """A client's out request is checked where it is made, and kept as
+    given (a weights list frozen to a tuple)."""
+
     def test_none(self):
-        assert encode_out_request(None) is None
+        # None is no spec: a caller without a request leaves it out
+        with pytest.raises(TypeError, match="cannot interpret"):
+            check_dist_spec(None)
 
     def test_kind_string(self):
-        assert encode_out_request("CYCLIC") == ("KIND", "CYCLIC")
+        assert check_dist_spec("CYCLIC") == "CYCLIC"
 
     def test_template_list(self):
-        assert encode_out_request([3, 1]) == ("TEMPLATE", (3.0, 1.0))
+        assert check_dist_spec([3, 1]) == (3, 1)
 
     def test_exact_distribution(self):
         d = Distribution.block(8, 2)
-        tag, descr = encode_out_request(d)
-        assert tag == "EXACT"
+        assert check_dist_spec(d) is d
 
     def test_garbage_rejected(self):
-        with pytest.raises(TypeError):
-            encode_out_request(object())
+        for spec in (object(), 3, ["a", 1], {"w": 1}):
+            with pytest.raises(TypeError, match="cannot interpret"):
+                check_dist_spec(spec)
 
 
 class TestResolveOutDist:
+    """The server resolves an out request once the result's length is
+    known; the client takes the layout from the reply."""
+
     def test_default_kind(self):
-        d = resolve_out_dist(None, "BLOCK", 10, 2)
+        d = resolve_dist_spec("BLOCK", 10, 2)
         assert d.kind == "BLOCK" and d.n == 10 and d.p == 2
 
     def test_kind_request(self):
-        d = resolve_out_dist(("KIND", "CYCLIC"), "BLOCK", 9, 3)
+        d = resolve_dist_spec("CYCLIC", 9, 3)
         assert d.kind == "CYCLIC"
 
     def test_template_request(self):
-        d = resolve_out_dist(("TEMPLATE", (3.0, 1.0)), "BLOCK", 40, 2)
-        assert d.counts == [30, 10]
+        d = resolve_dist_spec((3.0, 1.0), 40, 2)
+        assert d.kind == "TEMPLATE" and d.counts == [30, 10]
 
     def test_template_wrong_arity(self):
-        with pytest.raises(BadOperation, match="weights"):
-            resolve_out_dist(("TEMPLATE", (1.0,)), "BLOCK", 10, 2)
+        with pytest.raises(BadOperation, match="1 weights for 2 ranks"):
+            resolve_dist_spec((1.0,), 10, 2)
 
     def test_exact_mismatch_rejected(self):
-        from repro.core.request import describe
-
         d = Distribution.block(8, 2)
+        assert resolve_dist_spec(d, 8, 2) is d
         with pytest.raises(BadOperation, match="does not match"):
-            resolve_out_dist(("EXACT", describe(d)), "BLOCK", 9, 2)
+            resolve_dist_spec(d, 9, 2)
 
     def test_unknown_tag(self):
-        with pytest.raises(BadOperation):
-            resolve_out_dist(("WAT", 1), "BLOCK", 4, 2)
+        with pytest.raises(ValueError, match="unknown distribution kind"):
+            resolve_dist_spec("WAT", 4, 2)
+        with pytest.raises(TypeError, match="cannot interpret"):
+            resolve_dist_spec(object(), 4, 2)

@@ -1,6 +1,7 @@
 """Small-surface coverage: kernel tracing, one-sided registry helpers,
-placeholder arity, proxy introspection."""
+placeholder arity, bad arguments, proxy introspection."""
 
+import numpy as np
 import pytest
 
 from repro.core import BindingError, Future, FutureError, Simulation
@@ -11,7 +12,11 @@ from repro.tools import attach
 
 from ..runtime.conftest import make_world
 
-IDL = "interface tiny { long two_outs(out long a, out long b); };"
+IDL = """
+    typedef dsequence<double, 64> mvec;
+    interface tiny { long two_outs(out long a, out long b); };
+    interface marshalled { void f(in long x, in mvec v, out mvec w); };
+"""
 
 
 @pytest.fixture(scope="module")
@@ -122,6 +127,55 @@ class TestPlaceholderArity:
         assert _run_tiny(mod, local, body) == 2
         assert out == {"queued": 0, "records": 0, "statuses": {"ok"},
                        "fresh": 1}
+
+
+class TestBadArguments:
+    @pytest.mark.parametrize("bad,error,match", [
+        ("scalar", ValueError, "long"),
+        ("plain_list", TypeError, "must be a DistributedSequence"),
+        ("spec", TypeError, "cannot interpret"),
+    ], ids=["scalar", "plain_list", "spec"])
+    def test_bad_argument_fails_before_the_request_opens(self, mod, bad,
+                                                         error, match):
+        """An argument the stub cannot marshal raises at the call site
+        with nothing armed, drawn, recorded or sent: the placeholder is
+        free for the next call, which gets the next request id, and
+        every record the observer holds is settled."""
+        sim = Simulation()
+        obs = attach(sim.world).observer
+        out = {}
+
+        def server_main(ctx):
+            class Impl(mod.marshalled_skel):
+                def f(self, x, v):
+                    return v
+
+            ctx.poa.activate(Impl(), "m", kind="spmd")
+            ctx.poa.impl_is_ready()
+
+        def client(ctx):
+            t = mod.marshalled._spmd_bind("m")
+            v = mod.mvec(np.arange(8.0))
+            args = {"scalar": ("not a long", v, {}),
+                    "plain_list": (1, list(range(8)), {}),
+                    "spec": (1, v, {"w": object()})}[bad]
+            w = Future()
+            sent = sim.orb.requests_sent
+            with pytest.raises(error, match=match):
+                t.f_nb(args[0], args[1], w, _distributions=args[2])
+            out[ctx.rank, "sent"] = sim.orb.requests_sent - sent
+            t.f_nb(1, v, w).value()
+            out[ctx.rank, "w"] = list(w.value().owned_data)
+            out[ctx.rank, "req"] = t._binding.next_req_id()[1]
+
+        sim.server(server_main, host="HOST_2", nprocs=1)
+        sim.client(client, host="HOST_1", nprocs=2)
+        sim.run()
+        assert out == {(0, "sent"): 0, (0, "w"): [0.0, 1.0, 2.0, 3.0],
+                       (0, "req"): 2, (1, "sent"): 0,
+                       (1, "w"): [4.0, 5.0, 6.0, 7.0], (1, "req"): 2}
+        assert sorted(rec[3] for rec in obs.requests.values()) == [
+            "ok", "ok"]
 
 
 class TestProxyIntrospection:

@@ -1,51 +1,6 @@
-"""Unit + property tests for protocol messages and distribution
-descriptors."""
+"""Unit tests for protocol messages."""
 
-import pytest
-from hypothesis import given, settings, strategies as st
-
-from repro.core.distribution import Distribution
-from repro.core.request import (
-    Fragment,
-    ReplyHeader,
-    RequestHeader,
-    build,
-    describe,
-)
-
-
-class TestDescriptors:
-    @pytest.mark.parametrize("dist", [
-        Distribution.block(10, 3),
-        Distribution.cyclic(11, 4),
-        Distribution.concentrated(8, 3, owner=2),
-        Distribution.template(20, [3, 1]),
-        Distribution.explicit([[(0, 4)], [(4, 9)]], 9),
-    ])
-    def test_roundtrip(self, dist):
-        rebuilt = build(describe(dist))
-        assert rebuilt.n == dist.n
-        assert rebuilt.p == dist.p
-        assert rebuilt.parts == dist.parts
-
-    def test_bad_descriptor(self):
-        with pytest.raises(ValueError):
-            build(("MAGIC", 4, 2))
-
-    def test_descriptors_are_compact(self):
-        d = describe(Distribution.block(10**6, 8))
-        assert d == ("BLOCK", 10**6, 8)
-
-
-@settings(max_examples=60)
-@given(
-    n=st.integers(0, 500),
-    p=st.integers(1, 8),
-    kind=st.sampled_from(["BLOCK", "CYCLIC"]),
-)
-def test_property_describe_build_identity(n, p, kind):
-    dist = Distribution.of_kind(kind, n, p)
-    assert build(describe(dist)).parts == dist.parts
+from repro.core.request import Fragment, ReplyHeader, RequestHeader
 
 
 class TestMessageSizes:
@@ -67,3 +22,21 @@ class TestMessageSizes:
         sys_exc = ReplyHeader((1,), "system_exception", b"",
                               exception="it broke")
         assert sys_exc.nbytes() > ok.nbytes()
+
+    def test_layouts_count_by_entry_not_by_content(self):
+        """A header carries layouts as values; its size counts one entry
+        per layout whatever the layout holds."""
+        from repro.core.distribution import Distribution
+
+        def header(dist, spec):
+            return RequestHeader((1,), "o", "f", "spmd", 0, 2, (), b"",
+                                 dseq_args={"v": dist},
+                                 out_dists={"w": spec})
+
+        small = header(Distribution.block(4, 2), "CYCLIC")
+        big = header(Distribution.cyclic(10**4, 2), (3.0, 1.0))
+        assert small.nbytes() == big.nbytes() == header(
+            Distribution.block(4, 2), "BLOCK").nbytes()
+        assert (ReplyHeader((1,), "ok", dseq_outs={"w": (
+            Distribution.block(4, 3), Distribution.block(4, 2))}).nbytes()
+            == ReplyHeader((1,), "ok").nbytes() + 24)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import transfer
-from repro.core.distribution import Distribution
+from repro.core.distribution import Distribution, resolve_dist_spec
 from repro.core.transfer import (
     cached_schedule,
     extract,
@@ -216,8 +216,8 @@ DIST_KINDS = ["BLOCK", "CYCLIC", "CONCENTRATED"]
     dkind=st.sampled_from(DIST_KINDS),
 )
 def test_property_any_to_any_conversion_preserves_data(n, sp, dp, skind, dkind):
-    check_conversion(Distribution.of_kind(skind, n, sp),
-                     Distribution.of_kind(dkind, n, dp))
+    check_conversion(resolve_dist_spec(skind, n, sp),
+                     resolve_dist_spec(dkind, n, dp))
 
 
 @settings(max_examples=40, deadline=None)
@@ -305,7 +305,7 @@ def layouts(draw, n):
         for iv in pairwise(bounds):
             parts[draw(st.integers(0, p - 1))].append(iv)
         return Distribution.explicit(parts, n)
-    return Distribution.of_kind(kind, n, p)
+    return resolve_dist_spec(kind, n, p)
 
 
 def local_storage(dist, rank, as_list):

@@ -49,7 +49,7 @@ def run_case(n, client_np, server_np, in_kind, server_kind, out_kind):
 
     def client(ctx):
         e = _mod.echo2._spmd_bind("echo2")
-        v = ctx.dseq(data, kind=in_kind)
+        v = ctx.dseq(data, dist=in_kind)
         total = e.checksum(v)
         w = e.bounce(v, _distributions={"w": out_kind})
         gathered[ctx.rank] = (total, w.dist.kind,

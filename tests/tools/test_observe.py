@@ -172,7 +172,7 @@ class TestWorldIsolation:
         sim_b.close()
 
     def test_redistribution_reports_to_its_world(self):
-        from repro.core import Distribution
+        from repro.core import Distribution, resolve_dist_spec
         from repro.core.dsequence import DistributedSequence
 
         def build(observe):
@@ -184,7 +184,7 @@ class TestWorldIsolation:
                 d = DistributedSequence.from_global(
                     np.arange(n, dtype=float),
                     Distribution.block(n, ctx.nprocs), ctx.rank)
-                d.redistribute(Distribution.of_kind("CYCLIC", n, ctx.nprocs),
+                d.redistribute(resolve_dist_spec("CYCLIC", n, ctx.nprocs),
                                ctx.rts)
 
             sim.client(main, host="HOST_1", nprocs=3)
