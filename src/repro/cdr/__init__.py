@@ -9,7 +9,6 @@ from .buffers import BufferPool, PooledBuffer, ZeroCopyStats
 from .decoder import CdrDecoder, decode, decode_bulk_payload
 from .encoder import CdrEncoder, MarshalError, encode, encode_bulk_payload
 from .typecodes import (
-    ArrayTC,
     DSequenceTC,
     EnumTC,
     PRIMITIVES,
@@ -33,10 +32,9 @@ from .typecodes import (
     wire_size,
 )
 
-from .typecodes import ObjectRefTC, UnionTC
+from .typecodes import ObjectRefTC
 
 __all__ = [
-    "ArrayTC",
     "BufferPool",
     "CdrDecoder",
     "CdrEncoder",
@@ -62,7 +60,6 @@ __all__ = [
     "TC_ULONGLONG",
     "TC_USHORT",
     "TypeCode",
-    "UnionTC",
     "ZeroCopyStats",
     "decode",
     "decode_bulk_payload",

@@ -9,7 +9,6 @@ import numpy as np
 from .buffers import PooledBuffer
 from .encoder import _ULONG, SCALAR_CODECS, MarshalError, _make_views
 from .typecodes import (
-    ArrayTC,
     ObjectRefTC,
     TC_BOOLEAN as PRIM_BOOL,
     TC_ULONG,
@@ -20,7 +19,6 @@ from .typecodes import (
     StringTC,
     StructTC,
     TypeCode,
-    UnionTC,
     is_numeric_primitive,
     is_numeric_rows,
 )
@@ -166,18 +164,8 @@ class CdrDecoder:
             return self._decode_sequence(tc.fragment_tc())
         if isinstance(tc, StructTC):
             return {fname: self.decode(ftc) for fname, ftc in tc.fields}
-        if isinstance(tc, ArrayTC):
-            return self._decode_array(tc)
         if isinstance(tc, ObjectRefTC):
             return self._decode_objref(tc)
-        if isinstance(tc, UnionTC):
-            disc = self.decode(tc.discriminator)
-            arm = tc.arm_for(disc)
-            if arm is None:
-                raise MarshalError(
-                    f"union {tc.name}: no arm for discriminant {disc!r}"
-                )
-            return (disc, self.decode(arm[1]))
         raise MarshalError(f"cannot decode typecode {tc!r}")
 
     def _decode_objref(self, tc: ObjectRefTC):
@@ -208,20 +196,6 @@ class CdrDecoder:
                          program_id=program_id, host=host,
                          nthreads=nthreads, owner_rank=owner_rank,
                          endpoints=endpoints, in_dists=in_dists)
-
-    def _decode_array(self, tc: ArrayTC):
-        if is_numeric_primitive(tc.element):
-            self.align(tc.element.size)
-            raw = self._take(tc.total * tc.element.size)
-            return np.frombuffer(raw, dtype=tc.element.dtype).reshape(
-                tc.dims).copy()
-
-        def walk(dims):
-            if len(dims) == 1:
-                return [self.decode(tc.element) for _ in range(dims[0])]
-            return [walk(dims[1:]) for _ in range(dims[0])]
-
-        return walk(tc.dims)
 
     def _decode_sequence(self, tc: SequenceTC) -> Any:
         element = tc.element

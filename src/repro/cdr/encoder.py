@@ -22,7 +22,6 @@ from typing import Any
 import numpy as np
 
 from .typecodes import (
-    ArrayTC,
     ObjectRefTC,
     DSequenceTC,
     EnumTC,
@@ -32,7 +31,6 @@ from .typecodes import (
     StringTC,
     StructTC,
     TypeCode,
-    UnionTC,
     is_numeric_primitive,
     is_numeric_rows,
 )
@@ -159,10 +157,6 @@ class CdrEncoder:
                         f"struct {tc.name} value missing field {fname!r}"
                     ) from None
                 self.encode(ftc, fval)
-        elif isinstance(tc, ArrayTC):
-            self._encode_array(tc, value)
-        elif isinstance(tc, UnionTC):
-            self._encode_union(tc, value)
         elif isinstance(tc, ObjectRefTC):
             self._encode_objref(tc, value)
         else:
@@ -207,51 +201,6 @@ class CdrEncoder:
             self.put_string(op)
             self.put_string(param)
             self.put_string(spec)
-
-    def _encode_array(self, tc: ArrayTC, value: Any) -> None:
-        if is_numeric_primitive(tc.element):
-            if tc.element.name == "boolean":
-                value = _booleans(value)
-            arr = np.ascontiguousarray(value, dtype=tc.element.dtype)
-            if arr.shape != tc.dims:
-                raise MarshalError(
-                    f"array value of shape {arr.shape} does not match "
-                    f"declared dims {tc.dims}"
-                )
-            self.align(tc.element.size)
-            self._buf.extend(arr.tobytes())
-            return
-        flat_tc = tc.element
-
-        def walk(dims, v):
-            if len(v) != dims[0]:
-                raise MarshalError(
-                    f"array dimension mismatch: expected {dims[0]} "
-                    f"elements, got {len(v)}"
-                )
-            for item in v:
-                if len(dims) == 1:
-                    self.encode(flat_tc, item)
-                else:
-                    walk(dims[1:], item)
-
-        walk(tc.dims, value)
-
-    def _encode_union(self, tc: UnionTC, value: Any) -> None:
-        try:
-            disc, arm_value = value
-        except (TypeError, ValueError):
-            raise MarshalError(
-                f"union {tc.name} value must be a (discriminant, value) "
-                f"pair, got {value!r}"
-            ) from None
-        arm = tc.arm_for(disc)
-        if arm is None:
-            raise MarshalError(
-                f"union {tc.name} has no arm for discriminant {disc!r}"
-            )
-        self.encode(tc.discriminator, disc)
-        self.encode(arm[1], arm_value)
 
     def _encode_sequence(self, tc: SequenceTC, value: Any) -> None:
         n = _checked_len(value, tc.bound)

@@ -183,81 +183,6 @@ class ObjectRefTC(TypeCode):
         return f"tc<Object{f' ({self.repo_id})' if self.repo_id else ''}>"
 
 
-class ArrayTC(TypeCode):
-    """IDL fixed-size array ``T name[d0][d1]...``: no length prefix on the
-    wire, exactly ``prod(dims)`` elements in row-major order."""
-
-    __slots__ = ("element", "dims")
-    kind = "array"
-
-    def __init__(self, element: TypeCode, dims: tuple[int, ...]) -> None:
-        _set(self, "element", element)
-        _set(self, "dims", dims)
-        if not dims or any(d < 1 for d in dims):
-            raise ValueError(f"array dims must be positive, got {dims}")
-
-    @property
-    def total(self) -> int:
-        n = 1
-        for d in self.dims:
-            n *= d
-        return n
-
-    def default(self):
-        if is_numeric_primitive(self.element):
-            return np.zeros(self.dims, dtype=self.element.dtype)
-
-        def nested(dims):
-            if not dims:
-                return self.element.default()
-            return [nested(dims[1:]) for _ in range(dims[0])]
-
-        return nested(self.dims)
-
-    def __repr__(self) -> str:
-        dims = "".join(f"[{d}]" for d in self.dims)
-        return f"tc<array {self.element!r}{dims}>"
-
-
-class UnionTC(TypeCode):
-    """IDL discriminated union: the discriminator travels first, then the
-    selected arm.  Values are ``(discriminant, arm_value)`` pairs."""
-
-    __slots__ = ("name", "discriminator", "cases", "default_case")
-    kind = "union"
-
-    def __init__(self, name: str, discriminator: TypeCode,
-                 cases: tuple[tuple[Any, str, TypeCode], ...],
-                 default_case: Optional[tuple[str, TypeCode]] = None) -> None:
-        _set(self, "name", name)
-        _set(self, "discriminator", discriminator)
-        #: ((label_value, arm_name, arm_tc), ...)
-        _set(self, "cases", cases)
-        #: (arm_name, arm_tc) for the default arm, or None
-        _set(self, "default_case", default_case)
-
-    def arm_for(self, disc: Any):
-        # Enum-discriminated unions store integer labels (member indices);
-        # accept member names too, since enums decode to their names.
-        if isinstance(self.discriminator, EnumTC) and isinstance(disc, str):
-            if disc not in self.discriminator.members:
-                return None
-            disc = self.discriminator.members.index(disc)
-        for label, aname, atc in self.cases:
-            if label == disc:
-                return aname, atc
-        if self.default_case is not None:
-            return self.default_case
-        return None
-
-    def default(self):
-        label, aname, atc = self.cases[0]
-        return (label, atc.default())
-
-    def __repr__(self) -> str:
-        return f"tc<union {self.name}>"
-
-
 class DSequenceTC(TypeCode):
     """PARDIS ``dsequence<T, bound, client_dist, server_dist>``.
 

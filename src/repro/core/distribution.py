@@ -70,15 +70,12 @@ class Distribution(FrozenRecord):
         return Distribution(n, p, "CYCLIC", tuple(parts))
 
     @staticmethod
-    def concentrated(n: int, p: int, owner: int = 0) -> "Distribution":
-        """All elements on one thread (paper: "concentrated on one
+    def concentrated(n: int, p: int) -> "Distribution":
+        """All elements on rank 0 (paper: "concentrated on one
         processor")."""
         _check(n, p)
-        if not (0 <= owner < p):
-            raise ValueError(f"owner {owner} out of range for {p} ranks")
-        parts = [()] * p
-        parts[owner] = ((0, n),) if n else ()
-        return Distribution(n, p, "CONCENTRATED", tuple(parts))
+        parts = (((0, n),) if n else (),) + ((),) * (p - 1)
+        return Distribution(n, p, "CONCENTRATED", parts)
 
     @staticmethod
     def template(n: int, proportions: Sequence[float]) -> "Distribution":

@@ -83,7 +83,7 @@ def split_results(op: OpDef, result) -> tuple:
     """A servant's return value as one value per result slot (the return
     value first, then each out parameter).  A tuple is unpacked only when
     more than one slot is expected: a single slot's value may itself be
-    a tuple (e.g. a union)."""
+    a tuple (e.g. a sequence returned as a tuple)."""
     nslots = (op.ret_tc is not None) + len(op.out_params)
     if nslots == 0:
         return ()

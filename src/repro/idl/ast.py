@@ -57,16 +57,6 @@ class DSeqType(FrozenRecord):
         _set(self, "server_dist", server_dist)
 
 
-class ArrayType(FrozenRecord):
-    """Fixed-size array introduced by a declarator: ``T name[d0][d1]``."""
-
-    __slots__ = ("element", "dims")
-
-    def __init__(self, element: "TypeExpr", dims: tuple) -> None:
-        _set(self, "element", element)
-        _set(self, "dims", dims)  # of ConstExpr
-
-
 class NamedType(FrozenRecord):
     """Reference to a declared type by (possibly scoped) name."""
 
@@ -85,7 +75,7 @@ class VoidType(FrozenRecord):
 
 
 TypeExpr = Union[PrimType, StringType, SeqType, DSeqType, NamedType,
-                 ArrayType, VoidType]
+                 VoidType]
 
 # ---------------------------------------------------------------------------
 # Const expressions
@@ -184,28 +174,6 @@ class EnumDecl(Record):
     def __init__(self, name: str, members: list[str]) -> None:
         self.name = name
         self.members = members
-
-
-class UnionCase(Record):
-    """One arm of a union: labels is a list of ConstExpr, or the string
-    "default" for the default arm."""
-
-    __slots__ = ("labels", "name", "type")
-
-    def __init__(self, labels: list, name: str, type: TypeExpr) -> None:
-        self.labels = labels
-        self.name = name
-        self.type = type
-
-
-class UnionDecl(Record):
-    __slots__ = ("name", "discriminator", "cases")
-
-    def __init__(self, name: str, discriminator: TypeExpr,
-                 cases: list) -> None:
-        self.name = name
-        self.discriminator = discriminator
-        self.cases = cases
 
 
 class ExceptionDecl(Record):

@@ -25,7 +25,6 @@ import io
 from typing import Optional
 
 from ..cdr import (
-    ArrayTC,
     ObjectRefTC,
     DSequenceTC,
     EnumTC,
@@ -34,7 +33,6 @@ from ..cdr import (
     StringTC,
     StructTC,
     TypeCode,
-    UnionTC,
 )
 from .semantics import (
     CompiledSpec,
@@ -97,23 +95,8 @@ class Generator:
                     f"{tc.client_dist!r}, {tc.server_dist!r})")
         if isinstance(tc, EnumTC):
             return f"_cdr.EnumTC({tc.name!r}, {tc.members!r})"
-        if isinstance(tc, ArrayTC):
-            return f"_cdr.ArrayTC({self.tc_expr(tc.element)}, {tc.dims!r})"
         if isinstance(tc, ObjectRefTC):
             return f"_cdr.ObjectRefTC({tc.repo_id!r})"
-        if isinstance(tc, UnionTC):
-            cases = ", ".join(
-                f"({label!r}, {aname!r}, {self.tc_expr(atc)})"
-                for label, aname, atc in tc.cases
-            )
-            if tc.default_case is not None:
-                dname, dtc = tc.default_case
-                default = f"({dname!r}, {self.tc_expr(dtc)})"
-            else:
-                default = "None"
-            return (f"_cdr.UnionTC({tc.name!r}, "
-                    f"{self.tc_expr(tc.discriminator)}, ({cases},), "
-                    f"{default})")
         if isinstance(tc, StructTC):
             fields = ", ".join(
                 f"({fname!r}, {self.tc_expr(ftc)})" for fname, ftc in tc.fields
@@ -156,8 +139,6 @@ class Generator:
 
         for enum in self.spec.enums:
             self.gen_enum(w, enum)
-        for union in self.spec.unions:
-            self.gen_union(w, union)
         for struct in self.spec.structs:
             self.gen_struct(w, struct)
         for exc in self.spec.exceptions:
@@ -186,14 +167,6 @@ class Generator:
         self._tc_names[id(enum.tc)] = tc_var
         w.blank()
 
-    def gen_union(self, w: CodeWriter, union) -> None:
-        name = union.python_name
-        tc_var = f"_tc_{name}"
-        w.line(f"{tc_var} = {self.tc_expr(union.tc)}")
-        self._tc_names[id(union.tc)] = tc_var
-        w.line(f"{name} = {tc_var}")
-        w.blank()
-
     def gen_struct(self, w: CodeWriter, struct) -> None:
         name = struct.python_name
         tc_var = f"_tc_{name}"
@@ -209,7 +182,7 @@ class Generator:
             if isinstance(default, (bool, int, float, str, type(None))):
                 w.line(f"{fname}: object = {default!r}")
             else:
-                # Mutable / composite defaults (sequences, arrays, unions)
+                # Mutable / composite defaults (sequences, structs)
                 # come from the field's typecode at construction time.
                 w.line(f"{fname}: object = _dataclasses.field("
                        f"default_factory={self.tc_expr(ftc)}.default)")
@@ -373,9 +346,9 @@ class Generator:
     def gen_namespaces(self, w: CodeWriter) -> None:
         """Expose ``module::name`` scopes as attribute namespaces."""
         tree: dict = {}
-        for group in (self.spec.consts, self.spec.enums, self.spec.unions,
-                      self.spec.structs, self.spec.exceptions,
-                      self.spec.typedefs, self.spec.interfaces):
+        for group in (self.spec.consts, self.spec.enums, self.spec.structs,
+                      self.spec.exceptions, self.spec.typedefs,
+                      self.spec.interfaces):
             for item in group:
                 if len(item.qname) > 1:
                     node = tree

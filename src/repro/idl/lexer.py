@@ -28,7 +28,6 @@ KEYWORDS = {
     "module", "interface", "typedef", "const", "struct", "enum", "exception",
     "sequence", "dsequence", "string", "void", "in", "out", "inout",
     "oneway", "raises", "attribute", "readonly", "unsigned",
-    "union", "switch", "case", "default",
     "octet", "boolean", "char", "short", "long", "float", "double",
     "TRUE", "FALSE",
 }

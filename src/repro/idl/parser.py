@@ -164,8 +164,6 @@ class Parser:
             return self.parse_struct()
         if self.at(T_KEYWORD, "enum"):
             return self.parse_enum()
-        if self.at(T_KEYWORD, "union"):
-            return self.parse_union()
         if self.at(T_KEYWORD, "exception"):
             return self.parse_exception()
         if self.at(T_KEYWORD, "readonly") or self.at(T_KEYWORD, "attribute"):
@@ -191,20 +189,9 @@ class Parser:
         pragmas = self._claim_pragmas()
         self.expect(T_KEYWORD, "typedef")
         type_ = self.parse_type()
-        name, type_ = self.parse_declarator(type_)
+        name = self.expect(T_IDENT).value
         self.expect(T_PUNCT, ";")
         return ast.Typedef(name, type_, pragmas)
-
-    def parse_declarator(self, base_type):
-        """IDENT with optional fixed-array dimensions: ``name[4][4]``."""
-        name = self.expect(T_IDENT).value
-        dims = []
-        while self.accept(T_PUNCT, "["):
-            dims.append(self.parse_const_expr())
-            self.expect(T_PUNCT, "]")
-        if dims:
-            return name, ast.ArrayType(base_type, tuple(dims))
-        return name, base_type
 
     def parse_const(self) -> ast.ConstDecl:
         self.expect(T_KEYWORD, "const")
@@ -239,11 +226,10 @@ class Parser:
         members = []
         while not self.at(T_PUNCT, "}"):
             type_ = self.parse_type()
-            name, full = self.parse_declarator(type_)
-            members.append(ast.StructMember(name, full))
+            members.append(ast.StructMember(self.expect(T_IDENT).value, type_))
             while self.accept(T_PUNCT, ","):
-                name, full = self.parse_declarator(type_)
-                members.append(ast.StructMember(name, full))
+                members.append(
+                    ast.StructMember(self.expect(T_IDENT).value, type_))
             self.expect(T_PUNCT, ";")
         return members
 
@@ -257,46 +243,6 @@ class Parser:
         self.expect(T_PUNCT, "}")
         self.expect(T_PUNCT, ";")
         return ast.EnumDecl(name, members)
-
-    def parse_union(self) -> ast.UnionDecl:
-        """``union ID switch (type) { case ...: T a; default: U b; };``"""
-        self.expect(T_KEYWORD, "union")
-        name = self.expect(T_IDENT).value
-        self.expect(T_KEYWORD, "switch")
-        self.expect(T_PUNCT, "(")
-        disc = self.parse_type()
-        self.expect(T_PUNCT, ")")
-        self.expect(T_PUNCT, "{")
-        cases: list[ast.UnionCase] = []
-        saw_default = False
-        while not self.at(T_PUNCT, "}"):
-            labels = []
-            while True:
-                if self.accept(T_KEYWORD, "case"):
-                    labels.append(self.parse_const_expr())
-                    self.expect(T_PUNCT, ":")
-                elif self.at(T_KEYWORD, "default"):
-                    t = self.next()
-                    if saw_default:
-                        raise IdlSyntaxError(
-                            f"union {name!r} has more than one default arm",
-                            t.line, t.col)
-                    saw_default = True
-                    labels.append("default")
-                    self.expect(T_PUNCT, ":")
-                else:
-                    break
-            if not labels:
-                raise self.error("expected 'case' or 'default' in union")
-            arm_type = self.parse_type()
-            arm_name, arm_type = self.parse_declarator(arm_type)
-            self.expect(T_PUNCT, ";")
-            cases.append(ast.UnionCase(labels, arm_name, arm_type))
-        self.expect(T_PUNCT, "}")
-        self.expect(T_PUNCT, ";")
-        if not cases:
-            raise self.error(f"union {name!r} needs at least one arm")
-        return ast.UnionDecl(name, disc, cases)
 
     def parse_attribute(self) -> ast.Attribute:
         readonly = self.accept(T_KEYWORD, "readonly") is not None

@@ -17,7 +17,6 @@ from __future__ import annotations
 from typing import Any, Optional
 
 from ..cdr import (
-    ArrayTC,
     ObjectRefTC,
     DSequenceTC,
     EnumTC,
@@ -26,7 +25,6 @@ from ..cdr import (
     StringTC,
     StructTC,
     TypeCode,
-    UnionTC,
 )
 from .._record import Record
 from . import ast
@@ -83,18 +81,6 @@ class REnum(Record):
     __slots__ = ("qname", "tc")
 
     def __init__(self, qname: tuple[str, ...], tc: EnumTC) -> None:
-        self.qname = qname
-        self.tc = tc
-
-    @property
-    def python_name(self) -> str:
-        return "_".join(self.qname)
-
-
-class RUnion(Record):
-    __slots__ = ("qname", "tc")
-
-    def __init__(self, qname: tuple[str, ...], tc: UnionTC) -> None:
         self.qname = qname
         self.tc = tc
 
@@ -203,21 +189,19 @@ class RInterface(Record):
 
 
 class CompiledSpec(Record):
-    __slots__ = ("typedefs", "consts", "structs", "enums", "unions",
-                 "exceptions", "interfaces")
+    __slots__ = ("typedefs", "consts", "structs", "enums", "exceptions",
+                 "interfaces")
 
     def __init__(self, typedefs: Optional[list[RTypedef]] = None,
                  consts: Optional[list[RConst]] = None,
                  structs: Optional[list[RStruct]] = None,
                  enums: Optional[list[REnum]] = None,
-                 unions: Optional[list[RUnion]] = None,
                  exceptions: Optional[list[RException]] = None,
                  interfaces: Optional[list[RInterface]] = None) -> None:
         self.typedefs = [] if typedefs is None else typedefs
         self.consts = [] if consts is None else consts
         self.structs = [] if structs is None else structs
         self.enums = [] if enums is None else enums
-        self.unions = [] if unions is None else unions
         self.exceptions = [] if exceptions is None else exceptions
         self.interfaces = [] if interfaces is None else interfaces
 
@@ -365,12 +349,6 @@ class Analyzer:
                 elem, self._eval_bound(texpr.bound, scope),
                 texpr.client_dist, texpr.server_dist,
             ), None
-        if isinstance(texpr, ast.ArrayType):
-            elem, _ = self.resolve_type(texpr.element, scope, inside_dseq)
-            if isinstance(elem, DSequenceTC):
-                raise IdlSemanticError("arrays of dsequence are not allowed")
-            dims = tuple(self._eval_bound(d, scope) for d in texpr.dims)
-            return ArrayTC(elem, dims), None
         if isinstance(texpr, ast.NamedType):
             if texpr.scoped_name == ("Object",):
                 # the CORBA wildcard object-reference type
@@ -383,7 +361,7 @@ class Analyzer:
                         "dsequence cannot be nested inside another dsequence"
                     )
                 return td.tc, td
-            if entry.kind in ("struct", "enum", "union"):
+            if entry.kind in ("struct", "enum"):
                 return entry.value.tc, None
             if entry.kind == "exception":
                 raise IdlSemanticError(
@@ -434,8 +412,6 @@ class Analyzer:
             for idx, m in enumerate(node.members):
                 scope.define(m, "enum_member", idx)
             self.spec.enums.append(re_)
-        elif isinstance(node, ast.UnionDecl):
-            self.visit_union(node, scope)
         elif isinstance(node, ast.ExceptionDecl):
             tc = StructTC(node.name, tuple(
                 (m.name, self.resolve_type(m.type, scope)[0]) for m in node.members
@@ -499,59 +475,6 @@ class Analyzer:
             if n in seen:
                 raise IdlSemanticError(f"duplicate {what} {n!r}")
             seen.add(n)
-
-    def visit_union(self, node: ast.UnionDecl, scope: _Scope) -> None:
-        disc_tc, _ = self.resolve_type(node.discriminator, scope)
-        ok = isinstance(disc_tc, EnumTC) or (
-            disc_tc.kind in ("boolean", "char", "short", "ushort", "long",
-                             "ulong", "longlong", "ulonglong", "octet")
-        )
-        if not ok:
-            raise IdlSemanticError(
-                f"union {node.name!r}: discriminator must be an integer, "
-                f"char, boolean or enum type, not {disc_tc!r}"
-            )
-        self._check_unique([c.name for c in node.cases],
-                           f"union {node.name!r} arm")
-        cases = []
-        default_case = None
-        seen_labels = set()
-        for case in node.cases:
-            arm_tc, _ = self.resolve_type(case.type, scope)
-            if isinstance(arm_tc, DSequenceTC):
-                raise IdlSemanticError(
-                    f"union {node.name!r}: arms cannot be distributed"
-                )
-            for label in case.labels:
-                if label == "default":
-                    default_case = (case.name, arm_tc)
-                    continue
-                value = self.eval_const(label, scope)
-                if isinstance(disc_tc, EnumTC) or disc_tc.kind not in (
-                        "boolean", "char"):
-                    if not isinstance(value, int) or isinstance(value, bool):
-                        if not (disc_tc.kind == "boolean"
-                                or disc_tc.kind == "char"):
-                            raise IdlSemanticError(
-                                f"union {node.name!r}: case label {value!r} "
-                                f"does not fit discriminator {disc_tc!r}"
-                            )
-                if value in seen_labels:
-                    raise IdlSemanticError(
-                        f"union {node.name!r}: duplicate case label {value!r}"
-                    )
-                seen_labels.add(value)
-                cases.append((value, case.name, arm_tc))
-        if not cases and default_case is None:
-            raise IdlSemanticError(f"union {node.name!r} has no arms")
-        if not cases:
-            raise IdlSemanticError(
-                f"union {node.name!r} needs at least one labelled case"
-            )
-        tc = UnionTC(node.name, disc_tc, tuple(cases), default_case)
-        ru = RUnion(scope.path + (node.name,), tc)
-        scope.define(node.name, "union", ru)
-        self.spec.unions.append(ru)
 
     def visit_interface(self, node: ast.InterfaceDecl, scope: _Scope) -> None:
         bases: list[RInterface] = []

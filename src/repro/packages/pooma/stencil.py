@@ -54,7 +54,7 @@ def diffusion_step(field: Field, alpha: float = 0.1) -> None:
         field.rts.charge_flops(rows * nx * STENCIL_FLOPS_PER_POINT)
 
 
-def magnitude_gradient(values: np.ndarray, charge_rts=None) -> np.ndarray:
+def magnitude_gradient(values: np.ndarray) -> np.ndarray:
     """|grad f| with central differences (one-sided at the walls).
 
     Works on a plain 2-D array (the gradient component in the paper is a
@@ -62,7 +62,4 @@ def magnitude_gradient(values: np.ndarray, charge_rts=None) -> np.ndarray:
     time-step, not a ghosted POOMA field).
     """
     gy, gx = np.gradient(values)
-    out = np.hypot(gy, gx)
-    if charge_rts is not None:
-        charge_rts.charge_flops(values.size * GRADIENT_FLOPS_PER_POINT)
-    return out
+    return np.hypot(gy, gx)

@@ -10,7 +10,7 @@ runs unchanged over it.
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Any
 
 from ..netsim import ANY
 from .interface import RtsMessage
@@ -29,10 +29,9 @@ class PoomaRuntime(MPIRuntime):
     def ncontexts(self) -> int:
         return self.nprocs
 
-    def csend(self, context: int, payload: Any, tag: int = 0,
-              nbytes: Optional[int] = None) -> None:
+    def csend(self, context: int, payload: Any, tag: int = 0) -> None:
         """Asynchronous context-addressed send (POOMA's ``CSend``)."""
-        self.send(context, payload, tag=tag, nbytes=nbytes)
+        self.send(context, payload, tag=tag)
 
     def creceive(self, context=ANY, tag=ANY) -> RtsMessage:
         """Tag-matched receive from a context (POOMA's ``CReceive``)."""

@@ -15,7 +15,7 @@ underlying fabric.
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Any
 
 from ..netsim import estimate_nbytes
 from .mpi import MPIRuntime
@@ -47,8 +47,7 @@ class TulipRuntime(MPIRuntime):
     def _fabric(self):
         return self._program.host_obj.intra
 
-    def get(self, src_rank: int, key: Any,
-            selector=None, nbytes: Optional[int] = None) -> Any:
+    def get(self, src_rank: int, key: Any, selector=None) -> Any:
         """Fetch (part of) a registered object from ``src_rank``.
 
         ``selector(obj)`` narrows the fetched data (e.g. one element of an
@@ -62,7 +61,7 @@ class TulipRuntime(MPIRuntime):
                 f"rank {src_rank} has no registered object {key!r}"
             ) from None
         data = selector(obj) if selector is not None else obj
-        n = estimate_nbytes(data) if nbytes is None else nbytes
+        n = estimate_nbytes(data)
         profile = self._fabric()
         self._kernel.advance(
             2 * profile.latency + profile.serialization_time(n) + profile.cpu_overhead
@@ -70,13 +69,13 @@ class TulipRuntime(MPIRuntime):
         return data
 
     def put(self, dest_rank: int, key: Any, value: Any,
-            updater=None, nbytes: Optional[int] = None) -> None:
+            updater=None) -> None:
         """Store into a registered object on ``dest_rank``.
 
         With ``updater``, applies ``updater(obj, value)`` to the remote
         object (e.g. writing one slice); otherwise rebinds the key.
         """
-        n = estimate_nbytes(value) if nbytes is None else nbytes
+        n = estimate_nbytes(value)
         profile = self._fabric()
         self._kernel.advance(
             profile.latency + profile.serialization_time(n) + profile.cpu_overhead

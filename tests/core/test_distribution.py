@@ -42,14 +42,6 @@ class TestConcentrated:
         d = Distribution.concentrated(6, 3)
         assert d.counts == [6, 0, 0]
 
-    def test_custom_owner(self):
-        d = Distribution.concentrated(6, 3, owner=2)
-        assert d.counts == [0, 0, 6]
-
-    def test_owner_out_of_range(self):
-        with pytest.raises(ValueError):
-            Distribution.concentrated(6, 3, owner=3)
-
 
 class TestTemplate:
     def test_proportions(self):

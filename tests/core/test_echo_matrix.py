@@ -2,7 +2,6 @@
 invocation unchanged (in -> server -> out), including property-based
 randomized payloads."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -12,12 +11,6 @@ from repro.idl import compile_idl
 ECHO_IDL = """
     enum mood { HAPPY, GRUMPY, SLEEPY };
     struct point { double x; double y; string tag; };
-    union blob switch (long) {
-        case 1: double d;
-        case 2: string s;
-        default: long n;
-    };
-    typedef double triple[3];
     typedef sequence<point> points;
     typedef sequence<sequence<long>> table;
     interface echo {
@@ -25,8 +18,6 @@ ECHO_IDL = """
         string f_string(in string v, out string w);
         mood f_enum(in mood v, out mood w);
         point f_struct(in point v, out point w);
-        blob f_union(in blob v, out blob w);
-        triple f_array(in triple v, out triple w);
         points f_structseq(in points v, out points w);
         table f_nested(in table v, out table w);
         boolean f_bool(in boolean v, out boolean w);
@@ -93,16 +84,6 @@ class TestEchoMatrix:
         [(r, o)] = world([("f_struct", mod.point(x=1.0, y=-2.0, tag="p"))])
         assert r == o == {"x": 1.0, "y": -2.0, "tag": "p"}
 
-    def test_union_all_arms(self, world):
-        vals = [(1, 2.5), (2, "txt"), (7, 99)]
-        results = world([("f_union", v) for v in vals])
-        assert [r for r, _ in results] == vals
-
-    def test_array(self, world):
-        [(r, o)] = world([("f_array", np.array([1.0, 2.0, 3.0]))])
-        np.testing.assert_array_equal(r, [1.0, 2.0, 3.0])
-        np.testing.assert_array_equal(o, r)
-
     def test_sequence_of_structs(self, world):
         mod = world.mod
         pts = [mod.point(x=float(i), y=0.0, tag=f"t{i}") for i in range(3)]
@@ -123,9 +104,8 @@ class TestEchoMatrix:
 @given(
     d=st.floats(allow_nan=False, allow_infinity=False),
     s=st.text(max_size=40),
-    disc=st.sampled_from([1, 2, 7]),
 )
-def test_property_random_payloads_echo(d, s, disc):
+def test_property_random_payloads_echo(d, s):
     # Build one world per example (cheap: milliseconds).
     mod = compile_idl(ECHO_IDL, module_name="echo_matrix_prop_stubs")
     sim = Simulation()
@@ -138,9 +118,6 @@ def test_property_random_payloads_echo(d, s, disc):
             def f_string(self, v):
                 return (v, v)
 
-            def f_union(self, v):
-                return (v, v)
-
         ctx.poa.activate(EchoImpl(), "echo", kind="spmd")
         ctx.poa.impl_is_ready()
 
@@ -150,12 +127,9 @@ def test_property_random_payloads_echo(d, s, disc):
         e = mod.echo._bind("echo")
         out["d"] = e.f_double(d)[0]
         out["s"] = e.f_string(s)[0]
-        union_val = (disc, {1: d, 2: s, 7: 42}[disc])
-        out["u"] = e.f_union(union_val)[0]
 
     sim.server(server_main, host="HOST_2", nprocs=1)
     sim.client(client, host="HOST_1")
     sim.run()
     assert out["d"] == d
     assert out["s"] == s
-    assert out["u"] == (disc, {1: d, 2: s, 7: 42}[disc])

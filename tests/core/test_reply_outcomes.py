@@ -255,3 +255,45 @@ def test_every_reply_outcome_is_pinned(mods, case):
     kwargs, expected = CASES[case]
     got = _run(mods, **kwargs)
     assert got == {0: expected, 1: expected}
+
+
+@pytest.mark.parametrize("local", [False, True])
+def test_single_out_param_tuple_is_not_unpacked(local):
+    """A lone out parameter whose value is a tuple (a sequence returned
+    as ``(2, 5)``) reaches its placeholder whole, on the remote path and
+    on the local bypass alike: one result slot is never unpacked."""
+    from repro.core import Future
+
+    mod = compile_idl("""
+        typedef sequence<long> longs;
+        interface single_out { void get(out longs w); };
+    """, module_name="single_out_stubs")
+    sim = Simulation()
+
+    def servant():
+        class Impl(mod.single_out_skel):
+            def get(self):
+                return (2, 5)
+
+        return Impl()
+
+    def server_main(ctx):
+        ctx.poa.activate(servant(), "single_out", kind="spmd")
+        ctx.poa.impl_is_ready()
+
+    out = {}
+
+    def client(ctx):
+        if local:
+            ctx.poa.activate(servant(), "single_out", kind="spmd")
+        prx = mod.single_out._bind("single_out")
+        assert prx._binding.local == local
+        w = Future()
+        prx.get_nb(w).value()
+        out["w"] = w.value()
+
+    if not local:
+        sim.server(server_main, host="HOST_2", nprocs=1)
+    sim.client(client, host="HOST_1")
+    sim.run()
+    assert list(out["w"]) == [2, 5]

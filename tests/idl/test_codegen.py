@@ -59,10 +59,13 @@ class TestCompiledModule:
 
     def test_struct_dataclass_with_defaults(self):
         mod = compile_idl("""
-            struct point { double x; double y; string label; };
+            struct point { double x; double y; string label;
+                           sequence<long> tags; };
         """)
         p = mod.point()
         assert (p.x, p.y, p.label) == (0.0, 0.0, "")
+        # a composite member's default is built afresh for each value
+        assert list(p.tags) == [] and mod.point().tags is not p.tags
         q = mod.point(x=1.5, y=2.5, label="q")
         assert q.label == "q"
 

@@ -1,8 +1,10 @@
 """Parser tests, including the paper's verbatim IDL samples."""
 
+import re
+
 import pytest
 
-from repro.idl import parse
+from repro.idl import compile_spec, parse
 from repro.idl.lexer import IdlSyntaxError
 from repro.idl import ast
 
@@ -163,6 +165,20 @@ def test_malformed_pragma_rejected():
 def test_missing_semicolon():
     with pytest.raises(IdlSyntaxError, match="';'"):
         parse("typedef long t")
+
+
+@pytest.mark.parametrize("idl,found,col", [
+    ("union u switch (long) { case 1: long a; };", "switch", 9),
+    ("typedef double triple[3];", "[", 22),
+    ("struct s { double m[3]; };", "[", 20),
+], ids=["union", "typedef_array", "member_array"])
+def test_unions_and_fixed_arrays_are_rejected(idl, found, col):
+    """The IDL has no discriminated unions or fixed arrays: the whole
+    front end rejects them as a syntax error at the offending token."""
+    with pytest.raises(IdlSyntaxError,
+                       match=re.escape(f"found {found!r}")) as err:
+        compile_spec(idl)
+    assert (err.value.line, err.value.col) == (1, col)
 
 
 def test_paper_solver_idl():
