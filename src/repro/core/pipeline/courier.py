@@ -34,9 +34,10 @@ stream, so a payload is bytes-like.  The lease rides the
 the fragment must call :func:`release_fragment`.
 
 The courier also meters its own traffic: schedule lookups and fragment
-payload bytes go to the observer of the world doing the work (the ORB's
-``observer``, or ``world.services["observer"]`` for redistribution), so
-two simulations in one process never share counters.
+payload bytes go to the observer of the world doing the work (its ORB's
+``observer``; redistribution reaches that ORB through
+``world.services["orb"]``), so two simulations in one process never
+share counters.
 
 The program's *dead letters* are here too: :func:`dead_letter` registers
 a request whose traffic nobody will consume, :func:`drain_dead_letters`
@@ -265,7 +266,8 @@ def redistribute_exchange(element: TypeCode, src_dist: Distribution,
 
     world = rts.program.world
     pool = world.transport.buffer_pool
-    observer = world.services.get("observer")
+    orb = world.services.get("orb")
+    observer = orb.observer if orb is not None else None
     sched = _schedule(observer, src_dist, dst_dist)
     tag = _next_tag(rts)
     for item in _transfer.outgoing(sched, rank):

@@ -73,9 +73,13 @@ POINTS = CLIENT_POINTS + SERVER_POINTS
 class ClientRequestInfo:
     """What a client-side interceptor sees about one invocation.
 
-    No ``__slots__``: interceptors keep per-request state on the info
-    (the tracing interceptor its span context).
+    No ``__slots__``: interceptors keep per-request state on the info.
+    ``trace`` is the request's ``(trace_id, span_id, parent_id)`` once
+    the tracing interceptor has run; the state machine hands it to the
+    observer with every span.
     """
+
+    trace = None
 
     def __init__(self, ctx: Any, op: OpDef, req_id: tuple, object_name: str,
                  rank: int, oneway: bool, deadline: Optional[float],
@@ -109,7 +113,9 @@ class ClientRequestInfo:
 
 class ServerRequestInfo:
     """What a server-side interceptor sees about one dispatched request
-    (no ``__slots__``, as for :class:`ClientRequestInfo`)."""
+    (no ``__slots__`` and a ``trace``, as for :class:`ClientRequestInfo`)."""
+
+    trace = None
 
     def __init__(self, ctx: Any, header: RequestHeader, op: OpDef,
                  servant: Any, is_root: bool) -> None:

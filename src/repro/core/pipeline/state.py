@@ -623,7 +623,7 @@ class ClientRequestState:
         now = ctx.now()
         self.observer.span(phase, self.op.name, self.req_id,
                            ctx.program.name, self.binding.client_index,
-                           t0, now, nbytes=nbytes)
+                           t0, now, nbytes=nbytes, trace=self.info.trace)
         return now
 
     def __repr__(self) -> str:
@@ -742,9 +742,11 @@ class ServerRequestState:
         observer (callers test that there is one); returns now."""
         ctx = self.ctx
         now = ctx.now()
+        info = self.info
         self.observer.span(phase, self.hdr.op, self.hdr.req_id,
                            ctx.program.name, ctx.rank, t0, now,
-                           nbytes=nbytes)
+                           nbytes=nbytes,
+                           trace=info.trace if info is not None else None)
         return now
 
     # -- argument collection -----------------------------------------------

@@ -43,9 +43,6 @@ T_PUNCT = "punct"
 T_PRAGMA = "pragma"
 T_EOF = "eof"
 
-_PUNCTS = ("::", "<<", ">>", "{", "}", "(", ")", "<", ">", ",", ";", ":",
-           "=", "[", "]", "+", "-", "*", "/", "|", "&", "^", "%", "~")
-
 _TOKEN_RE = re.compile(
     r"""
     (?P<ws>[ \t\r]+)

@@ -20,12 +20,11 @@ from .registry import (
 from .trace import PacketTrace, RingBuffer, TraceRecord
 from .tracing import (
     TRACE_CONTEXT,
-    TraceContext,
     TracingInterceptor,
 )
 
 __all__ = ["Instruments", "MetricsRegistry",
            "PacketTrace", "RequestObserver", "RingBuffer", "Span",
-           "TRACE_CONTEXT", "TraceContext", "TraceRecord", "TraceSession",
+           "TRACE_CONTEXT", "TraceRecord", "TraceSession",
            "TracingInterceptor", "attach", "flatten_snapshot",
            "parse_prometheus_text", "validate_chrome_trace"]

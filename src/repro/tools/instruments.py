@@ -13,9 +13,10 @@ The world's hooks, all set by :func:`attach`:
 * ``orb.observer`` — the ORB's one instrumentation seam (spans, request
   lifecycles, CDR bytes, transfer schedules);
 * ``transport.observers`` — the observer's packet trace;
-* ``world.services["observer"]`` — read by the fragment courier's
-  redistribution, which runs below the ORB;
-* the interceptor chain — the tracer, when ``tracing=True``.
+* the interceptor chain — the tracer, when ``tracing=True``.  It shares
+  no link with the observer: it stores each request's trace context on
+  the request's interceptor info, and the request's state machine hands
+  that context to ``orb.observer`` with every span.
 
 Everything belongs to ``world``: instruments of other worlds in the same
 process never see its counts.
@@ -44,13 +45,14 @@ class Instruments:
     _world: Any = field(default=None, repr=False)
 
     def detach(self) -> None:
-        """Unhook every instrument from the world and from each other;
-        what they recorded stays readable.  Idempotent.
+        """Unhook every instrument from the world; what they recorded
+        stays readable.  Idempotent.
 
         A request's state machine reads ``orb.observer`` once, when the
-        request starts, so a request in flight at ``detach()`` finishes
-        its spans, and its request record, in the observer it started
-        with; requests started afterwards reach no instrument.
+        request starts, and keeps its trace context on its interceptor
+        info, so a request in flight at ``detach()`` finishes its spans,
+        with their trace ids, and its request record, in the observer it
+        started with; requests started afterwards reach no instrument.
         """
         world, self._world = self._world, None
         if world is None:
@@ -58,11 +60,9 @@ class Instruments:
         obs = self.observer
         orb = world.services["orb"]
         orb.observer = None
-        del world.services["observer"]
         world.transport.observers.remove(obs.packet_trace)
         if self.tracer is not None:
             orb.unregister_interceptor(self.tracer)
-            self.tracer.observer = obs.tracer = None
 
 
 def attach(world, *, tracing: bool = False, metrics: bool = False,
@@ -82,14 +82,10 @@ def attach(world, *, tracing: bool = False, metrics: bool = False,
     obs.orb = orb
     obs.zero_copy = world.transport.buffer_pool.stats
     orb.observer = obs
-    world.services["observer"] = obs
     world.transport.observers.append(obs.packet_trace)
     handle = Instruments(obs, _world=world)
     if tracing:
-        tracer = TracingInterceptor()
-        orb.register_interceptor(tracer)
-        tracer.observer = obs
-        obs.tracer = handle.tracer = tracer
+        handle.tracer = orb.register_interceptor(TracingInterceptor())
     if metrics:
         handle.registry = _world_registry(world, handle.tracer)
         obs.bind_metrics(handle.registry)

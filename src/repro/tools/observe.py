@@ -30,14 +30,18 @@ through one seam, ``orb.observer``, and every emit site costs one
 attribute load plus a ``None`` test until
 :func:`repro.tools.attach` sets it.  The observer is not an
 interceptor; the interceptor chain stays empty unless something else
-registers on it.  :func:`~repro.tools.attach` also makes every link
-between the instruments of one world (observer, tracer, metrics
-registry).
+registers on it.  :func:`~repro.tools.attach` also binds the metrics
+registry of one world to its observer.
 
-When a :class:`~repro.tools.tracing.TracingInterceptor` is linked
-(``attach(world, tracing=True)``), every span is annotated with its
-trace/span/parent ids, :meth:`RequestObserver.chrome_trace` emits
-cross-world *flow* arrows between causally linked spans, and
+When a :class:`~repro.tools.tracing.TracingInterceptor` rides the
+world's chain (``attach(world, tracing=True)``), it stores each
+request's trace context, ``(trace_id, span_id, parent_id)``, on the
+request's interceptor info.  The request's state machine passes that
+tuple with every span, so each span carries the ids that went on the
+wire: the request id written out, with a ``c:``/``s:`` side prefix on
+span ids (see :mod:`repro.tools.tracing`).  With those ids,
+:meth:`RequestObserver.chrome_trace` emits cross-world *flow* arrows
+between causally linked spans, and
 :meth:`RequestObserver.trace_tree` renders each trace as an indented
 causal tree with per-hop latency attribution — the stitched view of a
 Fig-5 pipeline the paper reconstructed by hand.  Span and packet stores
@@ -78,6 +82,9 @@ PHASES = CLIENT_PHASES + SERVER_PHASES
 PHASE_SIDE = {p: "client" for p in CLIENT_PHASES}
 PHASE_SIDE.update({p: "server" for p in SERVER_PHASES})
 
+#: the trace fields of a span no tracer annotated
+_UNTRACED = ("", "", "")
+
 
 @dataclass(frozen=True)
 class Span:
@@ -87,8 +94,8 @@ class Span:
     (bypassed invocations draw theirs from the same per-binding sequence
     and appear with the single ``local`` phase).  The trace fields are
     empty unless a :class:`~repro.tools.tracing.TracingInterceptor`
-    shares the world; SPMD threads of one collective invocation share
-    one logical ``span_id`` per side.
+    gave the request its context; SPMD threads of one collective
+    invocation share one logical ``span_id`` per side.
     """
 
     phase: str
@@ -98,10 +105,10 @@ class Span:
     rank: int
     t0: float
     t1: float
-    nbytes: int = 0
-    trace_id: str = ""
-    span_id: str = ""
-    parent_id: str = ""
+    nbytes: int
+    trace_id: str
+    span_id: str
+    parent_id: str
 
     @property
     def duration(self) -> float:
@@ -165,10 +172,9 @@ class RequestObserver:
         #: transfer-schedule lookups of this world's fragment courier
         self.transfer = {"schedules": 0, "fragments": 0, "elements": 0}
         #: links set by repro.tools.attach: the world transport's
-        #: ZeroCopyStats, its ORB and the tracer
+        #: ZeroCopyStats and its ORB
         self.zero_copy = None
         self.orb = None
-        self.tracer = None
         #: registry hooks set by bind_metrics
         self._phase_hist = None
         self._request_hist = None
@@ -176,17 +182,15 @@ class RequestObserver:
     # -- recording (hot path; called only when an observer is attached) ----
 
     def span(self, phase: str, op: str, req, program: str, rank: int,
-             t0: float, t1: float, nbytes: int = 0) -> None:
-        req_s = str(req)
-        trace_id = span_id = parent_id = ""
-        if self.tracer is not None:
-            tctx = self.tracer.lookup(req_s, PHASE_SIDE.get(phase, "client"))
-            if tctx is not None:
-                trace_id, span_id, parent_id = (
-                    tctx.trace_id, tctx.span_id, tctx.parent_id)
+             t0: float, t1: float, nbytes: int = 0,
+             trace: Optional[tuple] = None) -> None:
+        """Record one span; ``trace`` is the request's ``(trace_id,
+        span_id, parent_id)`` (the request info's ``trace``), or None
+        for an untraced request."""
+        trace_id, span_id, parent_id = trace or _UNTRACED
         if self._phase_hist is not None:
             self._phase_hist.labels(phase=phase, op=op).observe(t1 - t0)
-        self.spans.append(Span(phase, op, req_s, program, rank, t0, t1,
+        self.spans.append(Span(phase, op, str(req), program, rank, t0, t1,
                                nbytes, trace_id, span_id, parent_id))
 
     def request_started(self, req, op: str, program: str, rank: int,

@@ -60,11 +60,6 @@ def world():
     return run
 
 
-def both(result):
-    ret, out = result
-    return ret, out
-
-
 class TestEchoMatrix:
     def test_double(self, world):
         [(r, o)] = world([("f_double", 3.25)])

@@ -3,8 +3,9 @@
 
 The observer is reached only through ``orb.observer`` (never the
 interceptor chain), its packet trace subscribes to
-``transport.observers``, and the tracer and registry are linked to it by
-``attach`` itself, so every flag combination gives the same results for
+``transport.observers``, the registry is bound to it by ``attach``
+itself, and the tracer shares no link with it (each request carries its
+own trace context), so every flag combination gives the same results for
 what it shares.
 """
 
@@ -86,26 +87,44 @@ def test_detach_undoes_every_link():
     handle = attach(sim.world, tracing=True, metrics=True)
     obs, tracer = handle.observer, handle.tracer
     sim.run(until=0.01)  # about half of the requests
-    indexed, started = len(tracer._by_req), len(obs.requests)
-    assert indexed > 0 and started > 0
+    traced, started = tracer.counters["traces_started"], len(obs.requests)
+    assert traced > 0 and started > 0
     handle.detach()
     orb = sim.orb
     assert orb.observer is None
     assert sim.world.transport.observers == []
     assert tracer not in orb.interceptors and len(orb.interceptors) == 0
-    assert tracer.observer is None and obs.tracer is None
-    assert "observer" not in sim.world.services
     # The rest of the run reaches none of the instruments for new
     # requests; a request in flight at detach finishes its spans in the
     # observer it started with, so none of its records stays pending.
     sim.run()
     assert sim.world.transport.packets_sent > len(obs.packet_trace)
-    assert len(tracer._by_req) == indexed
+    assert tracer.counters["traces_started"] == traced
     assert len(obs.requests) == started
     pending = [key for key, (_op, _t0, t1, _status) in obs.requests.items()
                if t1 is None]
     assert pending == []
     handle.detach()  # idempotent
+
+
+def test_request_in_flight_at_detach_keeps_its_trace():
+    """A request in flight at ``detach()`` records every one of its
+    spans, the ones after detach included, under one trace id."""
+    sim = _echo_world(requests=10)
+    handle = attach(sim.world, tracing=True)
+    obs = handle.observer
+    sim.run(until=0.01)
+    handle.detach()
+    sim.run()
+    by_req = {}
+    for s in obs.spans:
+        by_req.setdefault(s.req, []).append(s)
+    spans = max(by_req.values(), key=lambda group: group[-1].t1)
+    phases = {s.phase for s in spans}
+    assert {"wait", "unmarshal"} <= phases
+    assert max(s.t1 for s in spans) > 0.01  # some spans came after detach
+    assert len({s.trace_id for s in spans}) == 1
+    assert spans[0].trace_id != ""
 
 
 def test_second_attach_raises():

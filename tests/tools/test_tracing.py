@@ -13,10 +13,10 @@ from repro.core import (
 from repro.idl import compile_idl
 from repro.tools import (
     TRACE_CONTEXT,
-    TraceContext,
     TracingInterceptor,
     attach,
 )
+from repro.tools.tracing import request_trace_id
 from repro.core.pipeline import RequestInterceptor
 
 IDL = """
@@ -322,13 +322,59 @@ def test_coexists_with_fault_injection(mod, tracer_first):
     assert tracer.counters["traces_joined"] == 2
 
 
-def test_trace_context_wire_shape():
-    t = TraceContext("aa" * 8, "c:" + "bb" * 8, "")
-    assert t.to_wire() == {"trace_id": "aa" * 8,
-                           "span_id": "c:" + "bb" * 8}
-    assert t == TraceContext("aa" * 8, "c:" + "bb" * 8, "")
-    assert t != TraceContext("aa" * 8, "c:" + "bb" * 8, "s:" + "cc" * 8)
-    assert "c:" in repr(t)
+def test_request_trace_id_is_injective():
+    """Distinct request ids never share a trace id, not even when only
+    the boundary between two fields moves (rank 1 with binding counter
+    16 against rank 11 with counter 0)."""
+    req_ids = [((program, scope, binding), seq)
+               for program in (1, 11, 111)
+               for scope in ("c", "r1", "r11", "r111")
+               for binding in (0, 1, 10, 16)
+               for seq in (1, 6, 11, 61)]
+    ids = {request_trace_id(r) for r in req_ids}
+    assert len(ids) == len(req_ids)
+    assert (request_trace_id(((2, "r1", 16), 3))
+            != request_trace_id(((2, "r11", 0), 3)))
+    assert (request_trace_id(((2, "r1", 16), 3))
+            != request_trace_id(((2, "r1", 1), 63)))
+
+
+def test_ids_are_the_request_id_with_side_prefixes(mod):
+    """The root request's id names the trace; each side's span id is the
+    request id behind a ``c:``/``s:`` prefix, identical across runs."""
+    def run():
+        sim = Simulation()
+
+        def back_main(ctx):
+            class Back(mod.back_skel):
+                def deep(self, x):
+                    return x * 10
+
+            ctx.poa.activate(Back(), "back", kind="spmd")
+            ctx.poa.impl_is_ready()
+
+        sim.server(back_main, host="HOST_2", nprocs=2, name="backworld")
+        obs = attach(sim.world, tracing=True).observer
+        req_ids = []
+
+        def client(ctx):
+            srv = mod.back._spmd_bind("back")
+            srv.deep(1)
+            req_ids.append((srv._binding.uid, srv._binding._req_seq))
+
+        sim.client(client, host="HOST_1", nprocs=2)
+        sim.run()
+        return obs, req_ids
+
+    obs, req_ids = run()
+    assert len(set(req_ids)) == 1  # one collective request
+    rid = request_trace_id(req_ids[0])
+    assert {(s.side, s.trace_id, s.span_id, s.parent_id)
+            for s in obs.spans} == {("client", rid, "c:" + rid, ""),
+                                    ("server", rid, "s:" + rid, "c:" + rid)}
+    again, _ = run()
+    assert [(s.trace_id, s.span_id) for s in again.spans] == [
+        (s.trace_id, s.span_id) for s in obs.spans]
 
 
 def test_detach_restores_untraced_wire(mod):
