@@ -61,7 +61,7 @@ def main():
           "visualizer world):\n")
     full = obs.trace_tree()
     block = [part for part in full.split("trace ")
-             if part.startswith(deep[0])]
+             if part.startswith(deep[0] + " ")]
     print("trace " + block[0])
 
     print("tracer counters:")

@@ -26,9 +26,6 @@ from .interfacedef import AttrDef, InterfaceDef, OpDef, ParamDef
 from .invocation import Binding
 from .orb import ORB, ActivationAgent, OrbConfig, PardisContext
 from .pipeline import (
-    DEADLINE_CONTEXT,
-    DeadlineExpired,
-    DeadlineInterceptor,
     FaultInjectionInterceptor,
     FaultRule,
     FragmentCourier,
@@ -57,9 +54,6 @@ __all__ = [
     "Binding",
     "BindingError",
     "CollectiveMismatch",
-    "DEADLINE_CONTEXT",
-    "DeadlineExpired",
-    "DeadlineInterceptor",
     "Distribution",
     "DistributedSequence",
     "FaultInjectionInterceptor",

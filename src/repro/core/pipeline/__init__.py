@@ -16,13 +16,12 @@ package instead of through private inline loops:
   portable-interceptor chain (``send_request`` / ``receive_reply`` /
   ``receive_exception`` on the client, ``receive_request`` /
   ``send_reply`` on the server) with ``service_contexts`` carried on
-  the wire headers; tracing, deadline propagation and fault injection
-  all hang off this seam instead of inline guards (the request observer
-  is fed directly through ``orb.observer``).
+  the wire headers; tracing and fault injection hang off this seam
+  instead of inline guards (the request observer is fed directly
+  through ``orb.observer``).
 """
 
 from .courier import FragmentCourier, redistribute_exchange
-from .deadline import DEADLINE_CONTEXT, DeadlineExpired, DeadlineInterceptor
 from .faults import FaultInjectionInterceptor, FaultRule
 from .interceptors import (
     ClientRequestInfo,
@@ -35,9 +34,6 @@ from .state import ClientRequestState, ServerRequestState
 __all__ = [
     "ClientRequestInfo",
     "ClientRequestState",
-    "DEADLINE_CONTEXT",
-    "DeadlineExpired",
-    "DeadlineInterceptor",
     "FaultInjectionInterceptor",
     "FaultRule",
     "FragmentCourier",

@@ -1,7 +1,7 @@
 """Portable request interceptors (CORBA's portable-interceptor model).
 
-Cross-cutting request services — tracing, deadline propagation, fault
-injection, retry policies — hook the request path through a
+Cross-cutting request services — tracing, fault injection, throttling
+and load reports — hook the request path through a
 :class:`RequestInterceptor` registered on the ORB's
 :class:`InterceptorChain`, not through inline guards in the engine.  The
 chain exposes the five classic interception points:
@@ -49,7 +49,7 @@ is unaffected until an interceptor is registered.
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Any
 
 from ..errors import BindingError
 from ..interfacedef import OpDef
@@ -82,15 +82,13 @@ class ClientRequestInfo:
     trace = None
 
     def __init__(self, ctx: Any, op: OpDef, req_id: tuple, object_name: str,
-                 rank: int, oneway: bool, deadline: Optional[float],
-                 local: bool) -> None:
+                 rank: int, oneway: bool, local: bool) -> None:
         self.ctx = ctx                  # PardisContext of the invoking thread
         self.op = op
         self.req_id = req_id
         self.object_name = object_name
         self.rank = rank                # client thread index in the invocation
         self.oneway = oneway
-        self.deadline = deadline        # absolute virtual-time reply deadline
         #: True for a §4.1 local-bypass invocation: nothing travels on the
         #: wire, so ``send_request`` mutations of ``service_contexts`` go
         #: nowhere, but the points still fire around the direct call

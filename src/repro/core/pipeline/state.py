@@ -220,8 +220,7 @@ class ClientRequestState:
                                 binding.client_index, self.t0)
         self.info = ClientRequestInfo(
             ctx=ctx, op=op, req_id=req_id, object_name=binding.ref.name,
-            rank=binding.client_index, oneway=op.oneway,
-            deadline=self.deadline, local=self.local,
+            rank=binding.client_index, oneway=op.oneway, local=self.local,
         )
 
     def _call(self) -> None:

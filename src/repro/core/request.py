@@ -41,8 +41,6 @@ BACKPRESSURE_CONTEXT = "pardis.backpressure"
 #: reply report: ``{"program_id", "queue_depth", "capacity"}`` load
 #: sample piggybacked for least-loaded replica selection
 LOAD_CONTEXT = "pardis.load"
-#: request priority (higher is served first under the "priority" policy)
-PRIORITY_CONTEXT = "pardis.priority"
 #: distributed-tracing context (``repro.tools.tracing``).  It is
 #: instrumentation, not protocol: it travels on the headers but is not
 #: charged to their simulated size, so attaching tracing never moves
@@ -89,7 +87,7 @@ class RequestHeader:
         self.oneway = oneway
         self.forwarded = forwarded
         #: GIOP-style ServiceContextList: opaque per-request entries added
-        #: by portable interceptors (deadlines, tracing ids, ...).
+        #: by portable interceptors (tracing ids, ...).
         self.service_contexts = ({} if service_contexts is None
                                  else service_contexts)
 

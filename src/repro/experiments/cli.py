@@ -27,7 +27,6 @@ from .saturation import (
     DEFAULT_CLIENTS as SATURATION_CLIENTS,
     DEFAULT_REQUESTS as SATURATION_REQUESTS,
 )
-from ..services.admission import SCHEDULING_POLICIES
 
 
 def _session(args):
@@ -124,12 +123,11 @@ def _saturation(args) -> str:
     results = run_saturation(clients=tuple(args.clients),
                              requests=args.requests,
                              capacity=args.capacity,
-                             policy=args.policy,
                              session=session)
     titles = {
         "admission_off": "Saturation: admission off (unbounded queueing)",
         "admission_on": (f"Saturation: admission on (capacity "
-                         f"{args.capacity}, {args.policy})"),
+                         f"{args.capacity}, fifo)"),
         "admission_on_throttled":
             "Saturation: admission on + client throttle (latency "
             "includes deliberate client pacing)",
@@ -202,8 +200,6 @@ def build_parser() -> argparse.ArgumentParser:
                     default=list(SATURATION_CLIENTS))
     ps.add_argument("--requests", type=int, default=SATURATION_REQUESTS)
     ps.add_argument("--capacity", type=int, default=4)
-    ps.add_argument("--policy", choices=list(SCHEDULING_POLICIES),
-                    default="fifo")
     ps.add_argument("--json", dest="json_out", metavar="OUT.json",
                     default=None,
                     help="write all series as JSON (the CI artifact)")

@@ -97,7 +97,6 @@ def run_point(n_clients: int,
               requests: int = DEFAULT_REQUESTS,
               service_time: float = DEFAULT_SERVICE_TIME,
               capacity: Optional[int] = None,
-              policy: str = "fifo",
               throttle: bool = True,
               session=None) -> SaturationRow:
     """One sweep point: ``n_clients`` closed-loop client threads against
@@ -124,8 +123,7 @@ def run_point(n_clients: int,
 
         ctx.poa.activate(WorkImpl(), "worker", kind="spmd")
         if capacity is not None:
-            ctx.poa.set_admission(
-                AdmissionController(capacity=capacity, policy=policy))
+            ctx.poa.set_admission(AdmissionController(capacity=capacity))
         ctx.poa.impl_is_ready()
 
     latencies: list[float] = []
@@ -165,7 +163,6 @@ def run_saturation(clients: Sequence[int] = DEFAULT_CLIENTS,
                    requests: int = DEFAULT_REQUESTS,
                    service_time: float = DEFAULT_SERVICE_TIME,
                    capacity: int = 4,
-                   policy: str = "fifo",
                    session=None) -> dict[str, list[SaturationRow]]:
     """The full sweep at each client count: admission off, admission on
     (the bounded-latency evidence), and admission on with the client
@@ -177,10 +174,10 @@ def run_saturation(clients: Sequence[int] = DEFAULT_CLIENTS,
                      session=session)
            for n in clients]
     on = [run_point(n, requests, service_time, capacity=capacity,
-                    policy=policy, throttle=False, session=session)
+                    throttle=False, session=session)
           for n in clients]
     on_throttled = [run_point(n, requests, service_time, capacity=capacity,
-                              policy=policy, throttle=True, session=session)
+                              throttle=True, session=session)
                     for n in clients]
     return {"admission_off": off, "admission_on": on,
             "admission_on_throttled": on_throttled}

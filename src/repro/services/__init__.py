@@ -12,10 +12,9 @@ than inside it.  This package does the same for the reproduction:
   re-activation of dead non-persistent replicas through the
   ActivationAgent;
 * :mod:`repro.services.admission` — server-side admission control: a
-  bounded per-POA request queue with FIFO / priority / earliest-deadline
-  first scheduling, overload shedding (clients see
-  :class:`~repro.core.errors.TransientException`), and load/backpressure
-  reports piggybacked on reply service contexts;
+  bounded per-POA request queue served in arrival order, overload
+  shedding (clients see :class:`~repro.core.errors.TransientException`),
+  and load/backpressure reports piggybacked on reply service contexts;
 * :mod:`repro.services.throttle` — the client half of the backpressure
   contract: a portable interceptor that honors server hints and overload
   replies with jittered exponential backoff.
@@ -25,7 +24,7 @@ The wire contract (service-context keys) lives in
 never touches this package pays nothing on the request path.
 """
 
-from .admission import AdmissionController, PriorityInterceptor
+from .admission import AdmissionController
 from .replicas import (
     ALIVE,
     DEAD,
@@ -49,7 +48,6 @@ __all__ = [
     "LeastLoaded",
     "LoadReportInterceptor",
     "LocalityAware",
-    "PriorityInterceptor",
     "ReplicaGroup",
     "RoundRobin",
     "SelectionPolicy",

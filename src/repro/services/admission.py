@@ -1,4 +1,4 @@
-"""Server-side admission control: bounded queues, scheduling, shedding.
+"""Server-side admission control: a bounded FIFO queue with shedding.
 
 An :class:`AdmissionController` attached to a POA
 (``ctx.poa.set_admission(...)``) turns the historic
@@ -9,13 +9,7 @@ dispatch-whatever-arrives request loop into a bounded queue:
   prompt reply carrying the overload marker and raises
   :class:`~repro.core.errors.TransientException` (the request was never
   executed, so retrying is safe);
-* the next request to serve is chosen by the scheduling ``policy``:
-  ``"fifo"`` (arrival order), ``"priority"`` (highest
-  ``pardis.priority`` service context first, FIFO within a level — see
-  :class:`PriorityInterceptor`), or ``"edf"`` (earliest
-  ``pardis.deadline`` first, reusing
-  :class:`~repro.core.pipeline.deadline.DeadlineInterceptor` stamps;
-  undated requests go last in arrival order);
+* queued requests are served in arrival order;
 * every reply (success and failure) is stamped with a load report, and
   with a backpressure hint once the queue passes its high watermark —
   the inputs to least-loaded selection and client-side throttling.
@@ -33,18 +27,9 @@ from __future__ import annotations
 from collections import deque
 from typing import Optional
 
-from ..core.pipeline.deadline import DEADLINE_CONTEXT
-from ..core.pipeline.interceptors import ClientRequestInfo, RequestInterceptor
-from ..core.request import (
-    BACKPRESSURE_CONTEXT,
-    LOAD_CONTEXT,
-    PRIORITY_CONTEXT,
-    RequestHeader,
-)
+from ..core.request import BACKPRESSURE_CONTEXT, LOAD_CONTEXT, RequestHeader
 
-__all__ = ["AdmissionController", "PriorityInterceptor", "SCHEDULING_POLICIES"]
-
-SCHEDULING_POLICIES = ("fifo", "priority", "edf")
+__all__ = ["AdmissionController"]
 
 
 #: Queue depth, as a fraction of capacity, from which replies carry a
@@ -55,23 +40,21 @@ BACKOFF_HINT = 5e-3
 
 
 class AdmissionController:
-    """Bounded request queue + scheduling policy for one POA thread.
+    """Bounded FIFO request queue for one POA thread.
 
     ``capacity`` bounds *queued* (not yet dispatched) direct requests;
     from :data:`HIGH_WATERMARK` of it on, replies carry a
-    :data:`BACKOFF_HINT` backpressure hint.
+    :data:`BACKOFF_HINT` backpressure hint.  ``policy`` accepts only
+    ``"fifo"``: it is kept for callers that still name the order.
     """
 
     def __init__(self, capacity: int = 16, policy: str = "fifo") -> None:
-        if policy not in SCHEDULING_POLICIES:
+        if policy != "fifo":
             raise ValueError(
-                f"unknown scheduling policy {policy!r}; "
-                f"known: {SCHEDULING_POLICIES}"
-            )
+                f"unknown scheduling policy {policy!r}; known: ('fifo',)")
         if capacity < 1:
             raise ValueError("admission capacity must be >= 1")
         self.capacity = capacity
-        self.policy = policy
         #: max arrivals swept (admitted or shed) per scheduling decision.
         #: Shedding costs virtual time (the refusal reply goes over the
         #: transport), so an unbounded sweep under sustained overload
@@ -80,11 +63,10 @@ class AdmissionController:
         #: queued requests are served between bursts of shedding.
         self.sweep_budget = max(2 * capacity, 8)
         self.ctx = None
-        #: (header, enqueue time, arrival seq) of queued direct requests
-        self._queue: list[tuple[RequestHeader, float, int]] = []
+        #: (header, enqueue time) of queued direct requests
+        self._queue: deque = deque()
         #: forwarded SPMD headers: always admitted, served first, FIFO
         self._forwarded: deque = deque()
-        self._seq = 0
         # -- counters (surfaced via the metrics registry) --
         self.accepted = 0
         self.shed = 0
@@ -115,41 +97,20 @@ class AdmissionController:
         if len(self._queue) >= self.capacity:
             self.shed += 1
             return False
-        self._seq += 1
-        self._queue.append((hdr, now, self._seq))
+        self._queue.append((hdr, now))
         self.accepted += 1
         if self.queue_depth > self.max_depth:
             self.max_depth = self.queue_depth
         return True
 
     def pop(self, now: float) -> Optional[RequestHeader]:
-        """Next header to dispatch under the scheduling policy (None
-        when nothing is queued)."""
+        """Next header to dispatch in arrival order (None when nothing
+        is queued)."""
         if self._forwarded:
             return self._forwarded.popleft()
         if not self._queue:
             return None
-        if self.policy == "fifo":
-            idx = 0
-        elif self.policy == "priority":
-            idx = min(
-                range(len(self._queue)),
-                key=lambda i: (
-                    -self._queue[i][0].service_contexts.get(
-                        PRIORITY_CONTEXT, 0),
-                    self._queue[i][2],
-                ),
-            )
-        else:  # edf
-            idx = min(
-                range(len(self._queue)),
-                key=lambda i: (
-                    self._queue[i][0].service_contexts.get(
-                        DEADLINE_CONTEXT, float("inf")),
-                    self._queue[i][2],
-                ),
-            )
-        hdr, enqueued, _ = self._queue.pop(idx)
+        hdr, enqueued = self._queue.popleft()
         self.served += 1
         self.total_wait += now - enqueued
         return hdr
@@ -170,23 +131,6 @@ class AdmissionController:
             contexts[BACKPRESSURE_CONTEXT] = BACKOFF_HINT
 
     def __repr__(self) -> str:
-        return (f"<AdmissionController {self.policy} depth="
+        return (f"<AdmissionController depth="
                 f"{self.queue_depth}/{self.capacity} shed={self.shed}>")
 
-
-class PriorityInterceptor(RequestInterceptor):
-    """Client-side companion of the ``"priority"`` scheduling policy:
-    stamps each outgoing request with a priority level (per-operation
-    overrides win over the default; level 0 is never stamped)."""
-
-    name = "priority"
-
-    def __init__(self, default: int = 0,
-                 per_op: Optional[dict] = None) -> None:
-        self.default = default
-        self.per_op = dict(per_op or {})
-
-    def send_request(self, info: ClientRequestInfo) -> None:
-        level = self.per_op.get(info.op_name, self.default)
-        if level:
-            info.service_contexts[PRIORITY_CONTEXT] = level

@@ -40,8 +40,8 @@ class Instruments:
     ``None`` when not requested)."""
 
     observer: RequestObserver
-    tracer: Optional[TracingInterceptor] = None
-    registry: Optional[MetricsRegistry] = None
+    tracer: Optional[TracingInterceptor]
+    registry: Optional[MetricsRegistry]
     _world: Any = field(default=None, repr=False)
 
     def detach(self) -> None:
@@ -83,10 +83,10 @@ def attach(world, *, tracing: bool = False, metrics: bool = False,
     obs.zero_copy = world.transport.buffer_pool.stats
     orb.observer = obs
     world.transport.observers.append(obs.packet_trace)
-    handle = Instruments(obs, _world=world)
+    tracer = registry = None
     if tracing:
-        handle.tracer = orb.register_interceptor(TracingInterceptor())
+        tracer = orb.register_interceptor(TracingInterceptor())
     if metrics:
-        handle.registry = _world_registry(world, handle.tracer)
-        obs.bind_metrics(handle.registry)
-    return handle
+        registry = _world_registry(world, tracer)
+        obs.bind_metrics(registry)
+    return Instruments(obs, tracer, registry, _world=world)

@@ -335,7 +335,7 @@ class RequestObserver:
                 roots.append(node)
         for kids in children.values():
             kids.sort(key=lambda n: n["t0"])
-        roots.sort(key=lambda n: (n["trace_id"], n["t0"]))
+        roots.sort(key=lambda n: (n["t0"], n["trace_id"]))
 
         lines: list[str] = []
         by_trace: dict[str, list] = {}

@@ -141,8 +141,7 @@ class Histogram:
     __slots__ = ("bounds", "counts", "sum", "count")
     kind = "histogram"
 
-    def __init__(self, start: float = 1e-6, factor: float = 4.0,
-                 nbuckets: int = 12) -> None:
+    def __init__(self, start: float, factor: float, nbuckets: int) -> None:
         if start <= 0 or factor <= 1 or nbuckets < 1:
             raise ValueError("need start > 0, factor > 1, nbuckets >= 1")
         self.bounds = [start * factor ** i for i in range(nbuckets)]

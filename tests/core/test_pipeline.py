@@ -1,13 +1,12 @@
 """The protocol pipeline: portable interceptors, service contexts,
-deadline propagation, fault injection, partial-failure handling, and the
-request state machines' failure edges."""
+fault injection, partial-failure handling, and the request state
+machines' failure edges."""
 
 import numpy as np
 import pytest
 
 from repro.core import (
     BindingError,
-    DeadlineInterceptor,
     FaultInjectionInterceptor,
     Future,
     InterceptorChain,
@@ -194,47 +193,6 @@ def test_service_contexts_round_trip_on_the_wire(mod):
 
 
 # ---------------------------------------------------------------------------
-# Deadline propagation
-# ---------------------------------------------------------------------------
-
-
-def test_expired_deadline_is_shed_promptly(mod):
-    """A request whose propagated deadline passed in transit is rejected
-    at the POA: the client sees a SystemException long before its own
-    request_timeout would fire."""
-    sim = build(mod, config=OrbConfig(request_timeout=60.0))
-    dl = sim.register_interceptor(DeadlineInterceptor(budget=1e-9))
-    out = {}
-
-    def client(ctx):
-        srv = mod.pipesvc._bind("pipes")
-        t0 = ctx.now()
-        with pytest.raises(SystemException, match="shed"):
-            srv.add(1, 1)
-        out["elapsed"] = ctx.now() - t0
-
-    sim.client(client, host="HOST_1")
-    sim.run()
-    assert dl.shed_count == 1
-    assert out["elapsed"] < 1.0  # nowhere near the 60 s timeout
-
-
-def test_deadline_within_budget_passes_through(mod):
-    sim = build(mod, config=OrbConfig(request_timeout=60.0))
-    dl = sim.register_interceptor(DeadlineInterceptor(budget=30.0))
-    out = {}
-
-    def client(ctx):
-        srv = mod.pipesvc._bind("pipes")
-        out["v"] = srv.add(20, 22)
-
-    sim.client(client, host="HOST_1")
-    sim.run()
-    assert out["v"] == 42
-    assert dl.shed_count == 0
-
-
-# ---------------------------------------------------------------------------
 # Fault injection
 # ---------------------------------------------------------------------------
 
@@ -389,28 +347,31 @@ def test_interceptor_mutating_contexts_on_every_hook(mod):
 
 
 def test_deadline_expires_mid_fragment_transfer(mod):
-    """A deadline that expires while a dsequence argument's fragments are
-    still in flight: the header is shed at the POA and the orphaned
-    fragments are dead-lettered (releasing any pooled payload buffers)
-    instead of lingering on the channel."""
+    """A request refused at receive_request while a dsequence argument's
+    fragments are still in flight (the path a server-side shed takes):
+    the client gets a prompt error reply, long before its own
+    request_timeout, and the orphaned fragments are dead-lettered
+    (releasing any pooled payload buffers) instead of lingering on the
+    channel."""
     sim = build(mod, config=OrbConfig(request_timeout=60.0))
-    dl = sim.register_interceptor(DeadlineInterceptor(budget=1e-9))
+    faults = sim.register_interceptor(FaultInjectionInterceptor())
+    rule = faults.inject("receive_request", times=2)
     out = {}
 
     def client(ctx):
         srv = mod.pipesvc._bind("pipes")
         t0 = ctx.now()
-        with pytest.raises(SystemException, match="shed"):
+        with pytest.raises(SystemException, match="injected fault"):
             srv.total(mod.vec(np.arange(48.0)))
-        # A second (header-only, also shed) request wakes the server
+        # A second (header-only, also refused) request wakes the server
         # loop, which sweeps any fragments that arrived after the shed.
-        with pytest.raises(SystemException, match="shed"):
+        with pytest.raises(SystemException, match="injected fault"):
             srv.add(1, 1)
         out["elapsed"] = ctx.now() - t0
 
     sim.client(client, host="HOST_1")
     sim.run()
-    assert dl.shed_count == 2
+    assert rule.fired == 2
     assert sim.orb.dead_fragments == 1
     assert sim.world.transport.buffer_pool.stats.outstanding == 0
     assert out["elapsed"] < 1.0
@@ -795,12 +756,13 @@ def test_finish_request_fires_when_request_is_shed(mod):
     """Even a request shed in receive_request reaches finish_request —
     the notification is tied to request lifetime, not success."""
     sim = build(mod, config=OrbConfig(request_timeout=60.0))
-    sim.register_interceptor(DeadlineInterceptor(budget=1e-9))
+    faults = sim.register_interceptor(FaultInjectionInterceptor())
+    faults.inject("receive_request", op="add", times=1)
     rec = sim.register_interceptor(FinishRecorder())
 
     def client(ctx):
         srv = mod.pipesvc._bind("pipes")
-        with pytest.raises(SystemException, match="shed"):
+        with pytest.raises(SystemException, match="injected fault"):
             srv.add(1, 1)
 
     sim.client(client, host="HOST_1")

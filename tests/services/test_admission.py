@@ -1,22 +1,12 @@
-"""Admission control: bounded queues, scheduling policies, shedding,
-backpressure, and the client-side throttle."""
+"""Admission control: bounded FIFO queues, shedding, backpressure, and
+the client-side throttle."""
 
 import pytest
 
 from repro.core import OrbConfig, Simulation, TransientException
-from repro.core.pipeline.deadline import DEADLINE_CONTEXT
-from repro.core.request import (
-    BACKPRESSURE_CONTEXT,
-    LOAD_CONTEXT,
-    PRIORITY_CONTEXT,
-    RequestHeader,
-)
+from repro.core.request import BACKPRESSURE_CONTEXT, LOAD_CONTEXT, RequestHeader
 from repro.idl import compile_idl
-from repro.services import (
-    AdmissionController,
-    PriorityInterceptor,
-    ThrottleInterceptor,
-)
+from repro.services import AdmissionController, ThrottleInterceptor
 from repro.services.admission import BACKOFF_HINT, HIGH_WATERMARK
 
 IDL = """
@@ -31,19 +21,20 @@ def mod():
     return compile_idl(IDL, module_name="admission_stubs")
 
 
-def _hdr(req_id=0, op="crunch", forwarded=False, contexts=None,
-         oneway=False):
+def _hdr(req_id=0, op="crunch", forwarded=False, oneway=False):
     return RequestHeader(
         req_id=req_id, object_name="o", op=op, kind="spmd",
         client_program_id=0, client_nthreads=1, reply_to=(),
-        scalar_args=b"", oneway=oneway, forwarded=forwarded,
-        service_contexts=dict(contexts or {}))
+        scalar_args=b"", oneway=oneway, forwarded=forwarded)
 
 
 class TestAdmissionControllerUnit:
     def test_rejects_unknown_policy(self):
-        with pytest.raises(ValueError, match="unknown scheduling policy"):
-            AdmissionController(policy="lifo")
+        """Arrival order is the only one: "priority" and "edf" are
+        unknown too."""
+        for policy in ("lifo", "priority", "edf"):
+            with pytest.raises(ValueError, match="unknown scheduling policy"):
+                AdmissionController(policy=policy)
 
     def test_rejects_bad_capacity(self):
         with pytest.raises(ValueError, match="capacity"):
@@ -76,25 +67,6 @@ class TestAdmissionControllerUnit:
         # Forwarded headers never count as accepted/shed decisions.
         assert (adm.accepted, adm.shed) == (1, 0)
 
-    def test_priority_policy_highest_first_fifo_within(self):
-        adm = AdmissionController(capacity=8, policy="priority")
-        lo1 = _hdr(1, contexts={PRIORITY_CONTEXT: 1})
-        hi = _hdr(2, contexts={PRIORITY_CONTEXT: 5})
-        lo2 = _hdr(3, contexts={PRIORITY_CONTEXT: 1})
-        none = _hdr(4)                        # unstamped = level 0
-        for h in (lo1, hi, lo2, none):
-            adm.offer(h, 0.0)
-        assert [adm.pop(0.0) for _ in range(4)] == [hi, lo1, lo2, none]
-
-    def test_edf_policy_earliest_deadline_first_undated_last(self):
-        adm = AdmissionController(capacity=8, policy="edf")
-        late = _hdr(1, contexts={DEADLINE_CONTEXT: 9.0})
-        undated = _hdr(2)
-        soon = _hdr(3, contexts={DEADLINE_CONTEXT: 1.0})
-        for h in (late, undated, soon):
-            adm.offer(h, 0.0)
-        assert [adm.pop(0.0) for _ in range(3)] == [soon, late, undated]
-
     def test_stamp_reply_load_report_and_backpressure(self):
         adm = AdmissionController(capacity=4)
         contexts = {}
@@ -118,22 +90,6 @@ class TestAdmissionControllerUnit:
         assert AdmissionController(capacity=1).sweep_budget == 8
         assert AdmissionController(capacity=4).sweep_budget == 8
         assert AdmissionController(capacity=32).sweep_budget == 64
-
-
-class TestPriorityInterceptor:
-    class _Info:
-        def __init__(self, op_name):
-            self.op_name = op_name
-            self.service_contexts = {}
-
-    def test_stamps_nonzero_levels_only(self):
-        pi = PriorityInterceptor(default=0, per_op={"urgent": 9})
-        info = self._Info("urgent")
-        pi.send_request(info)
-        assert info.service_contexts[PRIORITY_CONTEXT] == 9
-        info = self._Info("routine")
-        pi.send_request(info)
-        assert PRIORITY_CONTEXT not in info.service_contexts
 
 
 def _overloaded(mod, n_clients, capacity, requests=8, throttle=False,

@@ -242,7 +242,7 @@ class TestTraceSession:
         for i in range(2):
             obs = RequestObserver(label=f"run{i}")
             obs.span("marshal", "op", f"r{i}", "prog", 0, 0.0, 1e-6)
-            session.handles.append(Instruments(obs))
+            session.handles.append(Instruments(obs, None, None))
         trace = session.chrome_trace()
         validate_chrome_trace(trace, require_phases=("marshal",))
         pids = {ev["pid"] for ev in trace["traceEvents"]}
@@ -252,7 +252,7 @@ class TestTraceSession:
         session = TraceSession()
         obs = RequestObserver()
         obs.span("compute", "op", "r", "prog", 0, 0.0, 2.0)
-        session.handles.append(Instruments(obs))
+        session.handles.append(Instruments(obs, None, None))
         path = tmp_path / "trace.json"
         session.write(str(path))
         import json

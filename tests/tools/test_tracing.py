@@ -5,7 +5,6 @@ shipped interceptors."""
 import pytest
 
 from repro.core import (
-    DeadlineInterceptor,
     FaultInjectionInterceptor,
     Simulation,
     SystemException,
@@ -267,25 +266,55 @@ def test_failing_request_records_every_span(mod):
     assert nodes[deep_client["parent_id"]]["op"] == "boom"
 
 
+def test_trace_tree_lists_traces_in_request_order(mod):
+    """Trace roots print in time order: of twelve sequential requests on
+    one binding, the tenth prints after the ninth, not after the first
+    as a sort on the id strings would put it."""
+    sim = Simulation()
+    obs = attach(sim.world, tracing=True).observer
+
+    def echo_main(ctx):
+        class Echo(mod.back_skel):
+            def deep(self, x):
+                return x
+
+        ctx.poa.activate(Echo(), "echo", kind="spmd")
+        ctx.poa.impl_is_ready()
+
+    def client(ctx):
+        echo = mod.back._bind("echo")
+        for i in range(12):
+            assert echo.deep(i) == i
+
+    sim.server(echo_main, host="HOST_2", name="echoworld")
+    sim.client(client, host="HOST_1")
+    sim.run()
+    ids = [line.split()[1] for line in obs.trace_tree().splitlines()
+           if line.startswith("trace ")]
+    assert len({tid.rsplit(".", 1)[0] for tid in ids}) == 1  # one binding
+    assert [int(tid.rsplit(".", 1)[1]) for tid in ids] == list(range(1, 13))
+
+
 @pytest.mark.parametrize("tracer_first", [True, False])
-def test_coexists_with_deadline_shedding(mod, tracer_first):
-    """A request shed by the deadline interceptor leaves no leaked trace
-    scope, whichever side of the tracer it is registered on."""
+def test_coexists_with_server_shedding(mod, tracer_first):
+    """A request shed at receive_request leaves no leaked trace scope,
+    whichever side of the tracer the shedding interceptor is registered
+    on."""
     sim = build_chain(mod)
     if tracer_first:
         tracer = sim.register_interceptor(TracingInterceptor())
-        dl = sim.register_interceptor(DeadlineInterceptor(budget=1e-9))
+        faults = sim.register_interceptor(FaultInjectionInterceptor())
     else:
-        dl = sim.register_interceptor(DeadlineInterceptor(budget=1e-9))
+        faults = sim.register_interceptor(FaultInjectionInterceptor())
         tracer = sim.register_interceptor(TracingInterceptor())
+    faults.inject("receive_request", op="work", times=1)
     out = {}
 
     def client(ctx):
         srv = mod.front._bind("front")
-        with pytest.raises(SystemException, match="shed"):
+        with pytest.raises(SystemException, match="injected fault"):
             srv.work(1)
-        ctx.orb.unregister_interceptor(dl)  # stop shedding; then retry
-        out["retry"] = srv.work(2)
+        out["retry"] = srv.work(2)  # rule exhausted
 
     sim.client(client, host="HOST_1")
     sim.run()
